@@ -35,7 +35,6 @@ from .validation import (
     ValidationError,
     ValidationReport,
     Violation,
-    merge_reports,
 )
 
 __version__ = "0.1.0"
@@ -66,6 +65,5 @@ __all__ = [
     "ValidationError",
     "ValidationReport",
     "Violation",
-    "merge_reports",
     "__version__",
 ]

@@ -58,10 +58,11 @@ class ChainComplex:
     Construction checks shapes and label uniqueness only; whether the
     boundary condition d.d = 0 holds is reported separately by
     :meth:`check_boundary_condition` so that defective complexes can still
-    be represented and examined.
+    be represented and examined.  The complex is immutable, so that report
+    is computed once and kept.
     """
 
-    __slots__ = ("_ranks", "_boundaries", "_labels")
+    __slots__ = ("_ranks", "_boundaries", "_labels", "_square_report")
 
     def __init__(self, ranks, boundaries, generator_labels=None):
         ranks = tuple(int(r) for r in ranks)
@@ -101,6 +102,7 @@ class ChainComplex:
         self._ranks = ranks
         self._boundaries = boundaries
         self._labels = labels
+        self._square_report: ValidationReport | None = None
 
     @property
     def top_degree(self) -> int:
@@ -126,6 +128,8 @@ class ChainComplex:
 
     def check_boundary_condition(self) -> ValidationReport:
         """Report every nonzero entry of d_k . d_(k+1), with generator labels."""
+        if self._square_report is not None:
+            return self._square_report
         violations = []
         for k in range(1, self.top_degree):
             product = matrix_multiply(self.boundary(k), self.boundary(k + 1))
@@ -147,7 +151,8 @@ class ChainComplex:
                                 subjects=(source, target, str(value)),
                             )
                         )
-        return ValidationReport(tuple(violations))
+        self._square_report = ValidationReport(tuple(violations))
+        return self._square_report
 
     def homology(self) -> list[HomologyGroup]:
         """Homology in every degree 0..top_degree.
@@ -155,7 +160,9 @@ class ChainComplex:
         Raises ValidationError when the boundary condition fails; homology is
         undefined for such data.
         """
-        report = self.check_boundary_condition()
+        report = self._square_report
+        if report is None:
+            report = self.check_boundary_condition()
         if not report.ok:
             raise ValidationError(report, "boundary condition d.d = 0 fails")
         divisors_by_degree = [

@@ -83,20 +83,16 @@ def _violation_lines(report: ValidationReport) -> tuple[str, ...]:
 def cmd_validate(path: str) -> CommandResult:
     def run() -> CommandResult:
         complex_ = parse_flow_complex(_read_text(path))
-        report = complex_.validate()
-        if report.ok:
-            try:
-                complex_.to_chain_complex()
-            except ValidationError as exc:
-                report = exc.report
-        if report.ok:
-            return CommandResult(0, human_text="valid", machine_lines=("valid",))
-        return CommandResult(
-            1,
-            human_text="invalid",
-            machine_lines=_violation_lines(report),
-            diagnostics=report.describe(),
-        )
+        try:
+            complex_.to_chain_complex()  # runs the structural checks, then d.d = 0
+        except ValidationError as exc:
+            return CommandResult(
+                1,
+                human_text="invalid",
+                machine_lines=_violation_lines(exc.report),
+                diagnostics=exc.report.describe(),
+            )
+        return CommandResult(0, human_text="valid", machine_lines=("valid",))
 
     return _guard(run)
 

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .chain import ChainComplex
-from .linalg import IntegerMatrix
+from .linalg import IntegerMatrix, _significant_lines
 from .validation import ParseError, ValidationError, ValidationReport, Violation
 
 __all__ = ["Orbit", "Incidence", "FlowComplex", "parse_flow_complex", "ORBIT_ID_PATTERN"]
@@ -268,14 +268,6 @@ class FlowComplex:
             f"incidence {i.upper} {i.lower} {i.coefficient}" for i in self._incidences
         )
         return "\n".join(lines) + "\n"
-
-
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:

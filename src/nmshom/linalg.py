@@ -1,9 +1,12 @@
 """Exact integer matrices and Smith normal form.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
-point is involved anywhere, so results are exact and reproducible.  The
-central operation is :func:`smith_normal_form`, which diagonalizes an integer
-matrix by unimodular row and column operations and returns the witnesses.
+point is involved anywhere, so results are exact and reproducible.  One
+reduction core diagonalizes an integer matrix by unimodular row and column
+operations and serves two paths: :func:`smith_normal_form` records the
+operations and returns the unimodular witnesses u and v, while
+:func:`elementary_divisors` skips them and returns only the divisors, which
+is all that homology needs.
 :func:`minors_gcd_oracle` provides an independent cross-check: the product of
 the first k diagonal entries of the Smith form equals the gcd of all k x k
 minors.  The oracle deliberately shares no code with the reduction; it
@@ -351,6 +354,33 @@ def _nonzeros_isolated(a: list[list[int]]) -> bool:
     return True
 
 
+def _isolate_nonzeros(
+    a: list[list[int]], u: list[list[int]], vt: list[list[int]]
+) -> list[list[int]]:
+    """Reduce ``a`` until no row and no column holds two nonzeros; return it.
+
+    ``u`` holds one witness row per row of ``a`` and ``vt`` one per column:
+    row operations are mirrored onto ``u`` and column operations onto ``vt``,
+    which is v in transposed form.  Empty witness rows make this the
+    divisors-only reduction at no extra cost, since :func:`_echelon_pass`
+    then finds every witness extent zero and copies nothing.
+    """
+    nrows, ncols = len(u), len(vt)
+    # Column operations act as row operations on the transpose, so the two
+    # orientations share one routine.  Alternating passes strictly shrink
+    # the pivots they touch, hence the loop reaches a state where every
+    # nonzero is alone in its row and column.
+    while True:
+        _echelon_pass(a, u, nrows, ncols)
+        if _nonzeros_isolated(a):
+            return a
+        a = [list(col) for col in zip(*a)]
+        _echelon_pass(a, vt, ncols, nrows)
+        a = [list(col) for col in zip(*a)]
+        if _nonzeros_isolated(a):
+            return a
+
+
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """Diagonalize ``m`` over the integers with unimodular witnesses.
 
@@ -358,9 +388,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     trailing entries are zero.  The reduction alternates row and column
     echelon sweeps built from exact-division and extended-gcd steps, keeping
     off-pivot entries balanced-reduced against their pivots so intermediate
-    values stay near the size of the final divisors; a dense random matrix
-    of dimension one hundred reduces in a couple of seconds, two hundred in
-    about a minute.  Every step follows a fixed rule, so the run is fully
+    values stay near the size of the final divisors.  This is the witness
+    path: every operation is recorded in ``u`` and ``v``.  When only the
+    divisors are wanted, :func:`elementary_divisors` runs the same sweeps
+    without them.  Every step follows a fixed rule, so the run is fully
     deterministic.
 
     >>> dec = smith_normal_form(IntegerMatrix.from_rows([[6, 0], [-10, 10], [0, -15]]))
@@ -370,23 +401,9 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     True
     """
     nrows, ncols = m.rows, m.cols
-    a = m.to_rows()
     u = IntegerMatrix.identity(nrows).to_rows()
     vt = IntegerMatrix.identity(ncols).to_rows()
-
-    # Column operations act as row operations on the transpose, so v is
-    # tracked in transposed form and the two orientations share one routine.
-    # Alternating passes strictly shrink the pivots they touch, hence the
-    # loop reaches a state where every nonzero is alone in its row and column.
-    while True:
-        _echelon_pass(a, u, nrows, ncols)
-        if _nonzeros_isolated(a):
-            break
-        a = [list(col) for col in zip(*a)]
-        _echelon_pass(a, vt, ncols, nrows)
-        a = [list(col) for col in zip(*a)]
-        if _nonzeros_isolated(a):
-            break
+    a = _isolate_nonzeros(m.to_rows(), u, vt)
 
     # Gather the isolated entries onto the leading diagonal.
     limit = min(nrows, ncols)
@@ -404,34 +421,32 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
 
     # Repair divisibility between adjacent diagonal entries with gcd/lcm
     # transforms until the chain holds; each repair strictly shrinks the
-    # earlier entry, so this terminates.
+    # earlier entry, so this terminates.  A repair adds row j to row i, mixes
+    # columns i and j by the Bezout coefficients, and clears entry (j, i)
+    # with row i.  Rows and columns i and j are zero off the diagonal, so of
+    # ``a`` only the diagonal pair changes, to the gcd and the lcm.
     rank = sum(1 for t in range(limit) if a[t][t])
     changed = True
     while changed:
         changed = False
         for i in range(rank - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
+            j = i + 1
+            di, dj = a[i][i], a[j][j]
             if dj % di == 0:
                 continue
-            j = i + 1
-            _add_row_multiple(a, i, j, 1)
-            _add_row_multiple(u, i, j, 1)
             g, x, y = _bezout(di, dj)
             p, q = di // g, dj // g
-            for row in a:
-                ci, cj = row[i], row[j]
-                row[i] = x * ci + y * cj
-                row[j] = p * cj - q * ci
+            a[i][i], a[j][j] = g, p * dj
+            _add_row_multiple(u, i, j, 1)
             vi, vj = vt[i], vt[j]
             vt[i] = [x * s + y * t2 for s, t2 in zip(vi, vj)]
             vt[j] = [p * t2 - q * s for s, t2 in zip(vi, vj)]
-            _add_row_multiple(a, j, i, -(y * dj // g))
-            _add_row_multiple(u, j, i, -(y * dj // g))
+            _add_row_multiple(u, j, i, -y * q)
             changed = True
 
     for i in range(limit):
         if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
+            a[i][i] = -a[i][i]
             u[i] = [-x for x in u[i]]
 
     divisors = tuple(a[i][i] for i in range(limit) if a[i][i])
@@ -447,12 +462,28 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
 def elementary_divisors(m: IntegerMatrix) -> list[int]:
     """Nonzero Smith diagonal of ``m``, ascending under divisibility.
 
+    This is the divisors-only path: it runs the echelon sweeps of
+    :func:`smith_normal_form` with no witness rows, then puts the isolated
+    nonzeros into a divisibility chain as scalars, replacing each pair
+    (d_i, d_j) with i < j by (gcd, lcm).  The Smith diagonal is unique, so
+    the result equals ``smith_normal_form(m).divisors``.
+
     >>> elementary_divisors(IntegerMatrix.from_rows([[2], [-4]]))
     [2]
+    >>> elementary_divisors(IntegerMatrix.from_rows([[4, 0], [0, 6]]))
+    [2, 12]
     >>> elementary_divisors(IntegerMatrix.zeros(3, 2))
     []
     """
-    return list(smith_normal_form(m).divisors)
+    a = _isolate_nonzeros(m.to_rows(), [[] for _ in range(m.rows)], [[] for _ in range(m.cols)])
+    chain = sorted(abs(e) for row in a for e in row if e)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            di, dj = chain[i], chain[j]
+            if dj % di:
+                g = math.gcd(di, dj)
+                chain[i], chain[j] = g, di // g * dj
+    return chain
 
 
 def _cofactor_determinant(rows: list[list[int]]) -> int:

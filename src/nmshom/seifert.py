@@ -15,6 +15,7 @@ traditional fraction), e.g. ``2;1/2,1/3,1/5``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,22 +162,6 @@ def boundary_matrix(invariant: SeifertInvariant) -> IntegerMatrix:
     return IntegerMatrix.from_rows(rows, cols=m - 1)
 
 
-def _match_residues(betas: list[int], candidates: list[int], alpha: int) -> bool:
-    """Can ``betas`` be paired with ``candidates`` so matches agree mod alpha?
-
-    Backtracking over all pairings; used by :func:`seifert_equivalent` so the
-    equivalence test follows its definition rather than the normal form.
-    """
-    if not betas:
-        return not candidates
-    first, rest = betas[0], betas[1:]
-    for i, candidate in enumerate(candidates):
-        if (first - candidate) % alpha == 0:
-            if _match_residues(rest, candidates[:i] + candidates[i + 1 :], alpha):
-                return True
-    return False
-
-
 def seifert_equivalent(first: SeifertInvariant, second: SeifertInvariant) -> bool:
     """Do the two invariant lists describe the same fibration?
 
@@ -190,20 +175,13 @@ def seifert_equivalent(first: SeifertInvariant, second: SeifertInvariant) -> boo
     if first.genus != second.genus:
         return False
 
-    def classes(invariant: SeifertInvariant) -> dict[int, list[int]]:
-        grouped: dict[int, list[int]] = {}
-        for alpha, beta in invariant.pairs:
-            if alpha > 1:
-                grouped.setdefault(alpha, []).append(beta)
-        return grouped
+    # Pairs can be matched exactly when the multisets of (alpha, beta mod
+    # alpha) agree; this follows the definition, not the normal form.
+    def residues(invariant: SeifertInvariant) -> Counter:
+        return Counter((alpha, beta % alpha) for alpha, beta in invariant.pairs if alpha > 1)
 
-    classes_first = classes(first)
-    classes_second = classes(second)
-    if set(classes_first) != set(classes_second):
+    if residues(first) != residues(second):
         return False
-    for alpha, betas in classes_first.items():
-        if not _match_residues(betas, classes_second[alpha], alpha):
-            return False
 
     def total(invariant: SeifertInvariant) -> Fraction:
         return sum((Fraction(beta, alpha) for alpha, beta in invariant.pairs), Fraction(0))

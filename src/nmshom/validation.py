@@ -42,13 +42,6 @@ class ValidationReport:
         return self.ok
 
 
-def merge_reports(*reports: ValidationReport) -> ValidationReport:
-    found: list[Violation] = []
-    for report in reports:
-        found.extend(report.violations)
-    return ValidationReport(tuple(found))
-
-
 class ValidationError(ValueError):
     """Raised when an operation needs a valid object but the report is not ok."""
 

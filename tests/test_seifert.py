@@ -1,6 +1,7 @@
 """Seifert invariants: parsing, validation, flows, closed form, equivalence."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,28 @@ def _codes(report):
 
 def _sum(invariant):
     return sum((Fraction(b, a) for a, b in invariant.pairs), Fraction(0))
+
+
+def _padic_torsion(alphas):
+    """Torsion of H_0 for fibers of these alphas, from prime exponents alone.
+
+    For each prime p, the exponents of p in the alphas less the largest one
+    are the p-primary invariant factors; the k-th smallest of every prime
+    multiply to the k-th invariant factor.  Uses no Smith form.
+    """
+    exponents = {}
+    for position, alpha in enumerate(alphas):
+        p = 2
+        while alpha > 1:
+            while alpha % p == 0:
+                exponents.setdefault(p, [0] * len(alphas))[position] += 1
+                alpha //= p
+            p += 1
+    factors = [1] * (len(alphas) - 1)
+    for p, powers in exponents.items():
+        for k, e in enumerate(sorted(powers)[:-1]):
+            factors[k] *= p**e
+    return [d for d in factors if d > 1]
 
 
 class TestInvariantText:
@@ -167,6 +190,23 @@ class TestClosedForm:
         )
         assert parse_invariant("0;1/2,1/2").homology_closed_form()[0] == HomologyGroup(0, 1, (2,))
 
+    def test_padic_reference_on_small_cases(self):
+        assert _padic_torsion([2, 4]) == [2]
+        assert _padic_torsion([6, 10, 15]) == [30]
+        assert _padic_torsion([2, 3, 5]) == []
+        assert _padic_torsion([4, 6, 12, 1]) == [2, 12]
+
+    def test_thousand_fibers_match_padic_reference(self):
+        rng = random.Random(1000)
+        alphas = [rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 36]) for _ in range(1000)]
+        inv = SeifertInvariant(2, tuple((a, random_coprime_beta(rng, a)) for a in alphas))
+        start = time.perf_counter()
+        groups = inv.homology_closed_form()
+        # loose: it guards against a return to building witnesses, which
+        # took minutes at this size
+        assert time.perf_counter() - start < 60.0
+        assert groups[0] == HomologyGroup(0, 1, tuple(_padic_torsion(alphas)))
+
     def test_agrees_with_flow_pipeline(self):
         rng = random.Random(419)
         for _ in range(40):
@@ -261,6 +301,25 @@ class TestEquivalence:
             first = random_invariant(rng, max_pairs=4)
             second = random_invariant(rng, max_pairs=4)
             assert seifert_equivalent(first, second) == (first.normalized() == second.normalized())
+
+    def test_many_pairs_match_as_multisets(self):
+        # 1600 pairs of alpha 3: matching residues by backtracking over
+        # pairings would be exponential and overflow the recursion limit
+        rng = random.Random(461)
+        betas = [rng.choice([1, 2]) + 3 * rng.randint(-5, 5) for _ in range(1600)]
+        first = SeifertInvariant(0, tuple((3, b) for b in betas))
+        shifts = [3 * rng.randint(-2, 2) for _ in range(1599)]
+        shifts.append(-sum(shifts))  # keeps the sum of beta/alpha
+        moved = [(3, b + s) for b, s in zip(betas, shifts)]
+        rng.shuffle(moved)
+        assert seifert_equivalent(first, SeifertInvariant(0, tuple(moved)))
+
+        ones = sum(1 for b in betas if b % 3 == 1)
+        assert 0 < ones < 1600
+        flipped = [(3, 1)] * (ones - 1) + [(3, 2)] * (1600 - ones + 1)
+        assert not seifert_equivalent(first, SeifertInvariant(0, tuple(flipped)))
+        off_by_one = [*moved[:-1], (3, moved[-1][1] + 3)]
+        assert not seifert_equivalent(first, SeifertInvariant(0, tuple(off_by_one)))
 
     def test_repeated_alpha_residue_matching(self):
         first = parse_invariant("0;1/3,2/3")
