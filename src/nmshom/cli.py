@@ -69,7 +69,7 @@ def _guard(run) -> CommandResult:
         head = f"error: {exc.context}" if exc.context else "error: validation failed"
         detail = exc.report.describe()
         return CommandResult(1, diagnostics=head + ("\n" + detail if detail else ""))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return CommandResult(2, diagnostics=f"error: {exc}")
 
 

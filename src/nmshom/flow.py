@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .chain import ChainComplex
 from .linalg import IntegerMatrix, _significant_lines
-from .validation import ParseError, ValidationError, ValidationReport, Violation
+from .validation import ParseError, ValidationError, ValidationReport, Violation, _parse_int
 
 __all__ = ["Orbit", "Incidence", "FlowComplex", "parse_flow_complex", "ORBIT_ID_PATTERN"]
 
@@ -72,8 +72,8 @@ class FlowComplex:
         if dimension < 2:
             raise ValueError(f"dimension must be at least 2, got {dimension}")
         self._dimension = dimension
-        self._orbits = tuple(sorted(set(orbits)))
-        self._incidences = tuple(sorted(set(incidences)))
+        self._orbits = tuple(sorted(orbits))
+        self._incidences = tuple(sorted(incidences))
         for orbit in self._orbits:
             if not isinstance(orbit, Orbit):
                 raise TypeError(f"not an Orbit: {orbit!r}")
@@ -268,13 +268,6 @@ class FlowComplex:
             f"incidence {i.upper} {i.lower} {i.coefficient}" for i in self._incidences
         )
         return "\n".join(lines) + "\n"
-
-
-def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(lineno, f"non-integer {what} {token!r}") from None
 
 
 def _checked_id(token: str, lineno: int) -> str:

@@ -22,7 +22,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .validation import ParseError
+from .validation import ParseError, _parse_int
 
 __all__ = [
     "IntegerMatrix",
@@ -230,14 +230,6 @@ def _balanced_quotient(e: int, d: int) -> int:
     return q
 
 
-def _dense_extent(row: list[int]) -> int:
-    """Index one past the rightmost nonzero entry; 0 for a zero row."""
-    for j in range(len(row) - 1, -1, -1):
-        if row[j]:
-            return j + 1
-    return 0
-
-
 def _echelon_pass(a: list[list[int]], w: list[list[int]], nrows: int, ncols: int) -> None:
     """One row-echelon sweep over ``a`` by unimodular row operations.
 
@@ -253,7 +245,6 @@ def _echelon_pass(a: list[list[int]], w: list[list[int]], nrows: int, ncols: int
     """
     piv_of_col: list[int | None] = [None] * ncols
     piv_cols: list[int] = []
-    ext = [_dense_extent(row) for row in w]
 
     def reduce_right_of(ri: int, c: int) -> None:
         # balanced-reduce entries of row ri at pivot columns right of c
@@ -266,10 +257,7 @@ def _echelon_pass(a: list[list[int]], w: list[list[int]], nrows: int, ncols: int
                 if q2:
                     pr2 = a[r2]
                     row[c2:] = [s - q2 * t for s, t in zip(row[c2:], pr2[c2:])]
-                    bound = max(ext[ri], ext[r2])
-                    wr, w2 = w[ri], w[r2]
-                    wr[:bound] = [s - q2 * t for s, t in zip(wr[:bound], w2[:bound])]
-                    ext[ri] = bound
+                    w[ri] = [s - q2 * t for s, t in zip(w[ri], w[r2])]
 
     for k in range(nrows):
         row = a[k]
@@ -289,10 +277,7 @@ def _echelon_pass(a: list[list[int]], w: list[list[int]], nrows: int, ncols: int
             if e % d == 0:
                 q = e // d
                 row[c:] = [s - q * t for s, t in zip(row[c:], pr[c:])]
-                bound = max(ext[k], ext[ri])
-                wk, wr = w[k], w[ri]
-                wk[:bound] = [s - q * t for s, t in zip(wk[:bound], wr[:bound])]
-                ext[k] = bound
+                w[k] = [s - q * t for s, t in zip(w[k], w[ri])]
             else:
                 g, x, y = _bezout(d, e)
                 p, q = d // g, e // g
@@ -300,18 +285,15 @@ def _echelon_pass(a: list[list[int]], w: list[list[int]], nrows: int, ncols: int
                 row_tail = row[c:]
                 pr[c:] = [x * s + y * t for s, t in zip(pr_tail, row_tail)]
                 row[c:] = [p * t - q * s for s, t in zip(pr_tail, row_tail)]
-                bound = max(ext[k], ext[ri])
-                wr = w[ri][:bound]
-                wk = w[k][:bound]
-                w[ri][:bound] = [x * s + y * t for s, t in zip(wr, wk)]
-                w[k][:bound] = [p * t - q * s for s, t in zip(wr, wk)]
-                ext[k] = ext[ri] = bound
+                wr, wk = w[ri], w[k]
+                w[ri] = [x * s + y * t for s, t in zip(wr, wk)]
+                w[k] = [p * t - q * s for s, t in zip(wr, wk)]
                 reduce_right_of(ri, c)
         if lead is None:
             continue
         if row[lead] < 0:
             row[lead:] = [-s for s in row[lead:]]
-            w[k][: ext[k]] = [-s for s in w[k][: ext[k]]]
+            w[k] = [-s for s in w[k]]
         piv_of_col[lead] = k
         bisect.insort(piv_cols, lead)
         reduce_right_of(k, lead)
@@ -325,10 +307,7 @@ def _echelon_pass(a: list[list[int]], w: list[list[int]], nrows: int, ncols: int
                 if q2:
                     pr2 = a[r2]
                     pr2[lead:] = [s - q2 * t for s, t in zip(pr2[lead:], row[lead:])]
-                    bound = max(ext[r2], ext[k])
-                    w2, wk = w[r2], w[k]
-                    w2[:bound] = [s - q2 * t for s, t in zip(w2[:bound], wk[:bound])]
-                    ext[r2] = bound
+                    w[r2] = [s - q2 * t for s, t in zip(w[r2], w[k])]
 
     pivot_rows = [piv_of_col[c] for c in piv_cols]
     settled = set(pivot_rows)
@@ -362,8 +341,8 @@ def _isolate_nonzeros(
     ``u`` holds one witness row per row of ``a`` and ``vt`` one per column:
     row operations are mirrored onto ``u`` and column operations onto ``vt``,
     which is v in transposed form.  Empty witness rows make this the
-    divisors-only reduction at no extra cost, since :func:`_echelon_pass`
-    then finds every witness extent zero and copies nothing.
+    divisors-only reduction at no extra cost: each mirrored operation then
+    combines two empty rows.
     """
     nrows, ncols = len(u), len(vt)
     # Column operations act as row operations on the transpose, so the two
@@ -464,9 +443,8 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
 
     This is the divisors-only path: it runs the echelon sweeps of
     :func:`smith_normal_form` with no witness rows, then puts the isolated
-    nonzeros into a divisibility chain as scalars, replacing each pair
-    (d_i, d_j) with i < j by (gcd, lcm).  The Smith diagonal is unique, so
-    the result equals ``smith_normal_form(m).divisors``.
+    nonzeros into a divisibility chain as scalars.  The Smith diagonal is
+    unique, so the result equals ``smith_normal_form(m).divisors``.
 
     >>> elementary_divisors(IntegerMatrix.from_rows([[2], [-4]]))
     [2]
@@ -476,7 +454,19 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     []
     """
     a = _isolate_nonzeros(m.to_rows(), [[] for _ in range(m.rows)], [[] for _ in range(m.cols)])
-    chain = sorted(abs(e) for row in a for e in row if e)
+    return _divisor_chain(e for row in a for e in row if e)
+
+
+def _divisor_chain(values) -> list[int]:
+    """Invariant factors of the diagonal matrix with these nonzero entries.
+
+    Sorts the absolute values and replaces each pair (d_i, d_j) with i < j
+    by (gcd, lcm) until each entry divides the next; the product is kept.
+
+    >>> _divisor_chain([4, -6, 10])
+    [2, 2, 60]
+    """
+    chain = sorted(abs(v) for v in values)
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             di, dj = chain[i], chain[j]
@@ -556,7 +546,7 @@ def is_unimodular(m: IntegerMatrix) -> bool:
     return integer_determinant(m) in (1, -1)
 
 
-_HEADER_RE = re.compile(r"rows\s+(\d+)\s+cols\s+(\d+)")
+_HEADER_RE = re.compile(r"rows\s+([0-9]+)\s+cols\s+([0-9]+)")
 
 
 def _significant_lines(text: str):
@@ -582,7 +572,8 @@ def parse_matrix(text: str) -> IntegerMatrix:
     match = _HEADER_RE.fullmatch(header)
     if match is None:
         raise ParseError(header_line, f"expected 'rows R cols C' header, got {header!r}")
-    nrows, ncols = int(match.group(1)), int(match.group(2))
+    nrows = _parse_int(match.group(1), header_line, "row count")
+    ncols = _parse_int(match.group(2), header_line, "column count")
     body = lines[1:]
     expected_lines = nrows if ncols else 0  # width-0 rows carry no tokens, so no lines
     if len(body) < expected_lines:
@@ -597,11 +588,7 @@ def parse_matrix(text: str) -> IntegerMatrix:
         tokens = line.split()
         if len(tokens) != ncols:
             raise ParseError(lineno, f"expected {ncols} entries, found {len(tokens)}")
-        for token in tokens:
-            try:
-                flat.append(int(token))
-            except ValueError:
-                raise ParseError(lineno, f"non-integer entry {token!r}") from None
+        flat.extend(_parse_int(token, lineno, "entry") for token in tokens)
     return IntegerMatrix(nrows, ncols, flat)
 
 

@@ -6,7 +6,10 @@ with m orbits of index 0 (one per invariant pair), m + 2g - 1 orbits of
 index 1, and a single orbit of index 2 on the fibered 3-manifold.  The only
 nonzero incidences tie the first m - 1 index-1 orbits
 to consecutive index-0 orbits with weights +a_j and -a_(j+1), giving the
-bidiagonal boundary matrix this module also exposes directly.
+bidiagonal boundary matrix this module also exposes directly.  Its
+elementary divisors are the invariant factors of diag(a_1, ..., a_m) less
+the largest, lcm(a_1, ..., a_m), so the closed form reads the torsion of
+H_0 straight off the a_i.
 
 The compact text form is ``g;b1/a1,b2/a2,...`` (note beta before alpha, the
 traditional fraction), e.g. ``2;1/2,1/3,1/5``.
@@ -21,8 +24,8 @@ from fractions import Fraction
 
 from .chain import HomologyGroup
 from .flow import FlowComplex, Incidence, Orbit
-from .linalg import IntegerMatrix, elementary_divisors
-from .validation import ParseError, ValidationError, ValidationReport, Violation
+from .linalg import IntegerMatrix, _divisor_chain
+from .validation import ParseError, ValidationError, ValidationReport, Violation, _parse_int
 
 __all__ = [
     "SeifertInvariant",
@@ -119,11 +122,12 @@ class SeifertInvariant:
         """Homology of the fibered manifold without building the flow.
 
         H_2 is free of rank one, H_1 is free of rank 2g, and H_0 is Z plus
-        the torsion read off the elementary divisors of the bidiagonal
-        boundary matrix.
+        torsion: the invariant factors of diag(a_1, ..., a_m) above 1, with
+        the largest one, lcm(a_1, ..., a_m), dropped.  No matrix is built.
         """
         self._require_valid()
-        torsion = tuple(d for d in elementary_divisors(boundary_matrix(self)) if d > 1)
+        factors = _divisor_chain(alpha for alpha, _ in self.pairs)[:-1]
+        torsion = tuple(d for d in factors if d > 1)
         return [
             HomologyGroup(degree=0, betti=1, torsion=torsion),
             HomologyGroup(degree=1, betti=2 * self.genus),
@@ -200,21 +204,15 @@ def parse_invariant(text: str) -> SeifertInvariant:
     head, sep, tail = s.partition(";")
     if not sep:
         raise ParseError(1, f"expected ';' after the genus in {text!r}")
-    try:
-        genus = int(head.strip())
-    except ValueError:
-        raise ParseError(1, f"non-integer genus {head.strip()!r}") from None
+    genus = _parse_int(head.strip(), 1, "genus")
     pairs = []
     if tail.strip():
         for chunk in tail.split(","):
             beta_text, slash, alpha_text = chunk.partition("/")
             if not slash:
                 raise ParseError(1, f"expected beta/alpha, got {chunk.strip()!r}")
-            try:
-                beta = int(beta_text.strip())
-                alpha = int(alpha_text.strip())
-            except ValueError:
-                raise ParseError(1, f"non-integer invariant pair {chunk.strip()!r}") from None
+            beta = _parse_int(beta_text.strip(), 1, "invariant pair", chunk.strip())
+            alpha = _parse_int(alpha_text.strip(), 1, "invariant pair", chunk.strip())
             pairs.append((alpha, beta))
     return SeifertInvariant(genus, tuple(pairs))
 

@@ -9,6 +9,8 @@ report.  Text parsers raise ParseError with a 1-based line number.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 
 
@@ -59,3 +61,22 @@ class ParseError(ValueError):
         self.line = line
         self.reason = message
         super().__init__(f"line {line}: {message}")
+
+
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(token: str, line: int, what: str, shown: str | None = None) -> int:
+    """Read an integer token of any of the three text formats: ``[+-]?[0-9]+`` only.
+
+    ``int`` alone would also take ``1_0``, digits of other scripts and
+    surrounding blanks.  A malformed token is reported as a non-integer
+    ``what``, quoting ``shown`` (the token itself by default).
+    """
+    if not _INTEGER_RE.fullmatch(token):
+        raise ParseError(line, f"non-integer {what} {token if shown is None else shown!r}")
+    try:
+        return int(token)
+    except ValueError:  # more digits than the interpreter converts from text
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(line, f"too long {what}: over {limit} digits") from None

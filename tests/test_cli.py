@@ -182,6 +182,20 @@ class TestMainRendering:
         assert captured.out == "invalid\n"
         assert "equal-index-incidence" in captured.err
 
+    def test_identical_duplicate_lines_are_reported(self, tmp_path, capsys):
+        path = _write(
+            tmp_path,
+            "f.nms",
+            "format nmsflow 1\ndim 2\norbit a index 0\norbit a index 0\norbit b index 1\n"
+            "incidence b a 0\nincidence b a 0\n",
+        )
+        code = main(["--porcelain", "validate", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == (
+            "porcelain 1\nviolation duplicate-orbit-id a\nviolation duplicate-incidence b a\n"
+        )
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["homology"])
@@ -213,6 +227,16 @@ class TestEndToEnd:
         direct = self._run(["--porcelain", "homology", "--seifert", invariants])
         assert piped.returncode == 0 and direct.returncode == 0
         assert piped.stdout == direct.stdout
+
+    @pytest.mark.parametrize("command", ["validate", "homology", "snf"])
+    def test_undecodable_input_exits_two(self, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"format nmsflow 1\ndim 2\norbit \xff index 0\n")
+        result = self._run([command, str(path)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
 
     def test_snf_reads_stdin(self):
         result = self._run(["snf", "-"], stdin_text="rows 2 cols 2\n2 0\n0 3\n")

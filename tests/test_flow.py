@@ -1,6 +1,7 @@
 """Flow complexes: the nmsflow format, validation, and chain conversion."""
 
 import random
+import sys
 
 import pytest
 
@@ -87,9 +88,32 @@ class TestParsing:
             parse_flow_complex("format nmsflow 1\ndim 2\nloop a index 0\n")
         assert err.value.line == 3
 
-    def test_identical_redeclarations_collapse(self):
-        fc = parse_flow_complex(MINIMAL + "orbit a index 0\n")
-        assert fc.orbits == (Orbit("a", 0), Orbit("b", 2))
+    def test_identical_redeclarations_are_kept(self):
+        fc = parse_flow_complex(MINIMAL + "orbit a index 0\nincidence b a 1\nincidence b a 1\n")
+        assert fc.orbits == (Orbit("a", 0), Orbit("a", 0), Orbit("b", 2))
+        assert fc.incidences == (Incidence("b", "a", 1), Incidence("b", "a", 1))
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", "+-1"])
+    @pytest.mark.parametrize(
+        "template, what",
+        [
+            ("format nmsflow 1\ndim {}\n", "dimension"),
+            ("format nmsflow 1\ndim 3\norbit a index {}\n", "orbit index"),
+            (MINIMAL + "incidence b a {}\n", "coefficient"),
+        ],
+        ids=["dim", "orbit", "incidence"],
+    )
+    def test_integers_are_ascii_decimal_only(self, template, what, token):
+        with pytest.raises(ParseError) as err:
+            parse_flow_complex(template.format(token))
+        assert err.value.reason == f"non-integer {what} {token!r}"
+
+    def test_integer_past_the_conversion_limit_is_too_long(self):
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError) as err:
+            parse_flow_complex(MINIMAL + f"incidence b a -{digits}\n")
+        assert err.value.line == 5
+        assert err.value.reason.startswith("too long coefficient: ")
 
 
 class TestConstruction:
@@ -159,6 +183,17 @@ class TestValidation:
     def test_duplicate_orbit_id(self):
         fc = FlowComplex(3, [Orbit("a", 0), Orbit("a", 1), Orbit("r", 2)])
         assert "duplicate-orbit-id" in _codes(fc.validate())
+
+    def test_identical_duplicate_orbit_is_reported(self):
+        fc = FlowComplex(3, [Orbit("a", 0), Orbit("a", 0), Orbit("r", 2)])
+        assert _codes(fc.validate()) == ["duplicate-orbit-id"]
+
+    def test_identical_duplicate_incidence_is_reported(self):
+        incidence = Incidence("b", "a", 1)
+        fc = FlowComplex(2, [Orbit("a", 0), Orbit("b", 1)], [incidence, incidence])
+        assert _codes(fc.validate()) == ["duplicate-incidence"]
+        with pytest.raises(ValidationError):
+            fc.to_chain_complex()
 
     def test_duplicate_incidence_pair(self):
         fc = FlowComplex(

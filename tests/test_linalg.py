@@ -1,6 +1,7 @@
 """Exact linear algebra: matrices, Smith normal form, oracle, text format."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -342,6 +343,27 @@ class TestMatrixText:
             parse_matrix("rows 2 cols 1\n4\nx\n")
         assert err.value.line == 3
         assert "x" in str(err.value)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11"])
+    def test_entries_are_ascii_decimal_only(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(f"rows 1 cols 2\n4 {token}\n")
+        assert err.value.reason == f"non-integer entry {token!r}"
+
+    @pytest.mark.parametrize("header", ["rows \u0663 cols 1", "rows 1 cols 1_0"])
+    def test_header_counts_are_ascii_decimal_only(self, header):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(f"{header}\n1\n1\n1\n")
+        assert err.value.reason == f"expected 'rows R cols C' header, got {header!r}"
+
+    def test_integers_past_the_conversion_limit_are_too_long(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError) as err:
+            parse_matrix(f"rows 1 cols 1\n{digits}\n")
+        assert (err.value.line, err.value.reason.split(":")[0]) == (2, "too long entry")
+        with pytest.raises(ParseError) as err:
+            parse_matrix(f"rows {digits} cols 1\n")
+        assert (err.value.line, err.value.reason.split(":")[0]) == (1, "too long row count")
 
     def test_wrong_entry_count(self):
         with pytest.raises(ParseError) as err:

@@ -1,6 +1,8 @@
 """Seifert invariants: parsing, validation, flows, closed form, equivalence."""
 
+import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -83,6 +85,27 @@ class TestInvariantText:
             parse_invariant("0;12")
         with pytest.raises(ParseError):
             parse_invariant("0;a/2")
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("1_0;1/2", "non-integer genus '1_0'"),
+            ("\u0663;1/2", "non-integer genus '\u0663'"),
+            ("0;1/2, 1_0/3", "non-integer invariant pair '1_0/3'"),
+            ("0;1/\u0663", "non-integer invariant pair '1/\u0663'"),
+            ("0;1/\uff15", "non-integer invariant pair '1/\uff15'"),
+        ],
+    )
+    def test_integers_are_ascii_decimal_only(self, text, reason):
+        with pytest.raises(ParseError) as err:
+            parse_invariant(text)
+        assert err.value.reason == reason
+
+    def test_integer_past_the_conversion_limit_is_too_long(self):
+        digits = "3" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError) as err:
+            parse_invariant(f"0;1/2,{digits}/5")
+        assert err.value.reason.startswith("too long invariant pair: ")
 
     def test_empty_pair_list_parses_but_fails_validation(self):
         inv = parse_invariant("0;")
@@ -205,7 +228,26 @@ class TestClosedForm:
         # loose: it guards against a return to building witnesses, which
         # took minutes at this size
         assert time.perf_counter() - start < 60.0
-        assert groups[0] == HomologyGroup(0, 1, tuple(_padic_torsion(alphas)))
+        expected = HomologyGroup(0, 1, tuple(_padic_torsion(alphas)))
+        assert groups[0] == expected
+        # the closed form runs no Smith reduction; the flow pipeline does
+        assert inv.to_flow_complex().to_chain_complex().homology()[0] == expected
+
+    def test_closed_form_matches_padic_reference(self):
+        rng = random.Random(1009)
+        primes = [2, 3, 5, 7]
+        cases = [[1], [12], [1] * 7, [4, 4], [2**40, 2**40 * 3]]
+        for _ in range(2000):
+            m = rng.choice([1, 2, 3, rng.randint(4, 12)])
+            if rng.random() < 0.1:
+                cases.append([1] * m)
+            else:
+                draws = [rng.choices(primes, k=rng.randint(0, 5)) for _ in range(m)]
+                cases.append([math.prod(draw) for draw in draws])
+        for alphas in cases:
+            inv = SeifertInvariant(0, tuple((a, 1) for a in alphas))
+            torsion = inv.homology_closed_form()[0].torsion
+            assert list(torsion) == _padic_torsion(alphas), alphas
 
     def test_agrees_with_flow_pipeline(self):
         rng = random.Random(419)
