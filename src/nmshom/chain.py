@@ -9,10 +9,11 @@ list of elementary divisors of d_{k+1} that exceed 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .linalg import IntegerMatrix, elementary_divisors, matrix_multiply
-from .validation import ValidationError, ValidationReport, Violation
+from .validation import ValidationError, ValidationReport, Violation, _format_int
 
 __all__ = ["HomologyGroup", "ChainComplex"]
 
@@ -46,7 +47,7 @@ class HomologyGroup:
             parts.append("Z")
         elif self.betti:
             parts.append(f"Z^{self.betti}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
+        parts.extend(f"Z/{_format_int(d)}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
 
@@ -133,24 +134,22 @@ class ChainComplex:
         violations = []
         for k in range(1, self.top_degree):
             product = matrix_multiply(self.boundary(k), self.boundary(k + 1))
-            if product.is_zero():
-                continue
             for i in range(product.rows):
-                for j in range(product.cols):
-                    value = product[i, j]
-                    if value:
-                        source = self._labels[k + 1][j]
-                        target = self._labels[k - 1][i]
-                        violations.append(
-                            Violation(
-                                code="nonzero-boundary-square",
-                                message=(
-                                    f"d_{k}.d_{k + 1} is nonzero: generator {source!r} "
-                                    f"maps to {value}*{target!r}"
-                                ),
-                                subjects=(source, target, str(value)),
-                            )
+                row = product.row(i)
+                for j in itertools.compress(range(product.cols), row):  # nonzeros, row-major
+                    value = _format_int(row[j])
+                    source = self._labels[k + 1][j]
+                    target = self._labels[k - 1][i]
+                    violations.append(
+                        Violation(
+                            code="nonzero-boundary-square",
+                            message=(
+                                f"d_{k}.d_{k + 1} is nonzero: generator {source!r} "
+                                f"maps to {value}*{target!r}"
+                            ),
+                            subjects=(source, target, value),
                         )
+                    )
         self._square_report = ValidationReport(tuple(violations))
         return self._square_report
 

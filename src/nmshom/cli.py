@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from .chain import HomologyGroup
 from .flow import parse_flow_complex
-from .linalg import format_matrix, parse_matrix, smith_normal_form
+from .linalg import elementary_divisors, format_matrix, parse_matrix, smith_normal_form
 from .seifert import format_invariant, parse_invariant, seifert_equivalent
-from .validation import ParseError, ValidationError, ValidationReport
+from .validation import ParseError, ValidationError, ValidationReport, _format_int
 
 __all__ = [
     "CommandResult",
@@ -53,10 +53,11 @@ class CommandResult:
 
 
 def _read_text(path: str) -> str:
+    # Decode bytes strictly: sys.stdin would use surrogateescape under the C locale.
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        return sys.stdin.buffer.read().decode("utf-8")
+    with open(path, "rb") as handle:
+        return handle.read().decode("utf-8")
 
 
 def _guard(run) -> CommandResult:
@@ -100,7 +101,7 @@ def cmd_validate(path: str) -> CommandResult:
 def _homology_record(group: HomologyGroup) -> str:
     line = f"homology {group.degree} {group.betti}"
     if group.torsion:
-        line += " " + ",".join(str(d) for d in group.torsion)
+        line += " " + ",".join(map(_format_int, group.torsion))
     return line
 
 
@@ -121,8 +122,10 @@ def cmd_homology(path: str | None = None, seifert: str | None = None) -> Command
 
 def cmd_snf(path: str, witness: bool = False) -> CommandResult:
     def run() -> CommandResult:
-        decomposition = smith_normal_form(parse_matrix(_read_text(path)))
-        divisor_text = " ".join(str(d) for d in decomposition.divisors)
+        parsed = parse_matrix(_read_text(path))
+        decomposition = smith_normal_form(parsed) if witness else None
+        divisors = decomposition.divisors if witness else elementary_divisors(parsed)
+        divisor_text = " ".join(map(_format_int, divisors))
         human = f"elementary divisors: {divisor_text or '(none)'}"
         if witness:
             for label, matrix in (

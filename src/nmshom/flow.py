@@ -235,24 +235,21 @@ class FlowComplex:
         if not report.ok:
             raise ValidationError(report, "flow complex is not structurally valid")
 
+        # Orbits are sorted by id, so each degree's list comes out sorted.
         by_degree: list[list[str]] = [[] for _ in range(self._dimension)]
+        position: dict[str, tuple[int, int]] = {}
         for orbit in self._orbits:
-            by_degree[orbit.index].append(orbit.id)
-        for ids in by_degree:
-            ids.sort()
+            ids = by_degree[orbit.index]
+            position[orbit.id] = (orbit.index, len(ids))
+            ids.append(orbit.id)
 
-        coefficient = {(inc.upper, inc.lower): inc.coefficient for inc in self._incidences}
         ranks = [len(ids) for ids in by_degree]
-        boundaries = []
-        for k in range(1, self._dimension):
-            lower_ids = by_degree[k - 1]
-            upper_ids = by_degree[k]
-            flat = [
-                coefficient.get((upper, lower), 0)
-                for lower in lower_ids
-                for upper in upper_ids
-            ]
-            boundaries.append(IntegerMatrix(len(lower_ids), len(upper_ids), flat))
+        rows = [[[0] * ranks[k] for _ in range(ranks[k - 1])] for k in range(1, self._dimension)]
+        for inc in self._incidences:
+            k, j = position[inc.upper]
+            rows[k - 1][position[inc.lower][1]][j] = inc.coefficient
+        boundaries = [IntegerMatrix.from_rows(r, cols=ranks[k]) for k, r in enumerate(rows, 1)]
+        del rows  # the boundaries hold the entries; free the lists before the d.d check
 
         complex_ = ChainComplex(ranks, boundaries, generator_labels=by_degree)
         square_report = complex_.check_boundary_condition()

@@ -6,7 +6,9 @@ reduction core diagonalizes an integer matrix by unimodular row and column
 operations and serves two paths: :func:`smith_normal_form` records the
 operations and returns the unimodular witnesses u and v, while
 :func:`elementary_divisors` skips them and returns only the divisors, which
-is all that homology needs.
+is all that homology needs.  Every echelon sweep leaves each nonzero row
+leading at its own column with a positive pivot, so the core stops once no
+row holds two nonzeros, and the entries it isolates are positive.
 :func:`minors_gcd_oracle` provides an independent cross-check: the product of
 the first k diagonal entries of the Smith form equals the gcd of all k x k
 minors.  The oracle deliberately shares no code with the reduction; it
@@ -22,7 +24,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .validation import ParseError, _parse_int
+from .validation import ParseError, _format_int, _parse_int
 
 __all__ = [
     "IntegerMatrix",
@@ -60,7 +62,7 @@ class IntegerMatrix:
         cols = operator.index(cols)
         if rows < 0 or cols < 0:
             raise ValueError(f"matrix dimensions must be nonnegative, got {rows}x{cols}")
-        flat = tuple(operator.index(e) for e in entries)
+        flat = tuple(map(operator.index, entries))
         if len(flat) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(flat)}"
@@ -164,12 +166,11 @@ def matrix_multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     b_rows = [b.row(k) for k in range(b.rows)]
     flat: list[int] = []
     for i in range(a.rows):
+        row = a.row(i)
         acc = [0] * b.cols
-        for k, aik in enumerate(a.row(i)):
-            if aik:
-                brow = b_rows[k]
-                for j in range(b.cols):
-                    acc[j] += aik * brow[j]
+        for k in itertools.compress(range(a.cols), row):  # the k with a[i, k] nonzero
+            aik = row[k]
+            acc = [s + aik * t for s, t in zip(acc, b_rows[k])]
         flat.extend(acc)
     return IntegerMatrix(a.rows, b.cols, flat)
 
@@ -316,23 +317,6 @@ def _echelon_pass(a: list[list[int]], w: list[list[int]], nrows: int, ncols: int
     w[:] = [w[i] for i in order]
 
 
-def _nonzeros_isolated(a: list[list[int]]) -> bool:
-    """True when no row and no column holds more than one nonzero entry."""
-    used_cols: set[int] = set()
-    for row in a:
-        hit = -1
-        for j, e in enumerate(row):
-            if e:
-                if hit >= 0:
-                    return False
-                hit = j
-        if hit >= 0:
-            if hit in used_cols:
-                return False
-            used_cols.add(hit)
-    return True
-
-
 def _isolate_nonzeros(
     a: list[list[int]], u: list[list[int]], vt: list[list[int]]
 ) -> list[list[int]]:
@@ -343,21 +327,22 @@ def _isolate_nonzeros(
     which is v in transposed form.  Empty witness rows make this the
     divisors-only reduction at no extra cost: each mirrored operation then
     combines two empty rows.
+
+    Each :func:`_echelon_pass` leaves every nonzero row leading at its own
+    column with a positive pivot.  So a pass after which no row holds two
+    nonzeros has isolated them by columns too, and every nonzero returned
+    is positive.
     """
     nrows, ncols = len(u), len(vt)
     # Column operations act as row operations on the transpose, so the two
     # orientations share one routine.  Alternating passes strictly shrink
     # the pivots they touch, hence the loop reaches a state where every
     # nonzero is alone in its row and column.
-    while True:
-        _echelon_pass(a, u, nrows, ncols)
-        if _nonzeros_isolated(a):
-            return a
+    for w, rows, cols in itertools.cycle(((u, nrows, ncols), (vt, ncols, nrows))):
+        _echelon_pass(a, w, rows, cols)
+        if all(len(row) - row.count(0) < 2 for row in a):
+            return a if w is u else [list(col) for col in zip(*a)]
         a = [list(col) for col in zip(*a)]
-        _echelon_pass(a, vt, ncols, nrows)
-        a = [list(col) for col in zip(*a)]
-        if _nonzeros_isolated(a):
-            return a
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
@@ -403,7 +388,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     # earlier entry, so this terminates.  A repair adds row j to row i, mixes
     # columns i and j by the Bezout coefficients, and clears entry (j, i)
     # with row i.  Rows and columns i and j are zero off the diagonal, so of
-    # ``a`` only the diagonal pair changes, to the gcd and the lcm.
+    # ``a`` only the diagonal pair changes, to the gcd and the lcm (both > 0).
     rank = sum(1 for t in range(limit) if a[t][t])
     changed = True
     while changed:
@@ -422,11 +407,6 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
             vt[j] = [p * t2 - q * s for s, t2 in zip(vi, vj)]
             _add_row_multiple(u, j, i, -y * q)
             changed = True
-
-    for i in range(limit):
-        if a[i][i] < 0:
-            a[i][i] = -a[i][i]
-            u[i] = [-x for x in u[i]]
 
     divisors = tuple(a[i][i] for i in range(limit) if a[i][i])
     v_rows = [list(col) for col in zip(*vt)] if vt else []
@@ -596,5 +576,5 @@ def format_matrix(m: IntegerMatrix) -> str:
     """Render in the same text format :func:`parse_matrix` reads."""
     lines = [f"rows {m.rows} cols {m.cols}"]
     if m.cols:
-        lines.extend(" ".join(str(e) for e in m.row(i)) for i in range(m.rows))
+        lines.extend(" ".join(map(_format_int, m.row(i))) for i in range(m.rows))
     return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .chain import HomologyGroup
 from .flow import FlowComplex, Incidence, Orbit
 from .linalg import IntegerMatrix, _divisor_chain
-from .validation import ParseError, ValidationError, ValidationReport, Violation, _parse_int
+from .validation import ParseError, ValidationError, ValidationReport, Violation, _format_int, _parse_int
 
 __all__ = [
     "SeifertInvariant",
@@ -219,5 +219,5 @@ def parse_invariant(text: str) -> SeifertInvariant:
 
 def format_invariant(invariant: SeifertInvariant) -> str:
     """Inverse of :func:`parse_invariant`; betas come before alphas."""
-    body = ",".join(f"{beta}/{alpha}" for alpha, beta in invariant.pairs)
+    body = ",".join(f"{_format_int(beta)}/{alpha}" for alpha, beta in invariant.pairs)
     return f"{invariant.genus};{body}"

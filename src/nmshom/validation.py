@@ -80,3 +80,21 @@ def _parse_int(token: str, line: int, what: str, shown: str | None = None) -> in
     except ValueError:  # more digits than the interpreter converts from text
         limit = sys.get_int_max_str_digits()
         raise ParseError(line, f"too long {what}: over {limit} digits") from None
+
+
+_CHUNK = 10**600  # 600 digits: below 640, the least digit limit the interpreter accepts
+
+
+def _format_int(n: int) -> str:
+    """``str(n)``, also for more digits than ``sys.get_int_max_str_digits()``.
+
+    A computed divisor, witness entry or d.d value can be longer than any
+    input token, and the answer is exact, so it is printed in full.
+    """
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    rest, chunks = abs(n), []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(f"{low:0600}")
+    return "-" * (n < 0) + str(rest) + "".join(reversed(chunks))

@@ -82,6 +82,22 @@ class TestBoundaryCondition:
         assert "'top'" in violation.message and "'bottom'" in violation.message
         assert "6" in violation.message
 
+    def test_violations_follow_row_major_order(self):
+        # d_1.d_2 = [[0, 4], [5, -6]]: row-major and column-major order differ
+        c = _complex(
+            (2, 2, 2),
+            [[[1, 0], [0, 1]], [[0, 4], [5, -6]]],
+            labels=[["l0", "l1"], ["m0", "m1"], ["t0", "t1"]],
+        )
+        report = c.check_boundary_condition()
+        assert [v.code for v in report.violations] == ["nonzero-boundary-square"] * 3
+        assert [v.subjects for v in report.violations] == [
+            ("t1", "l0", "4"),
+            ("t0", "l1", "5"),
+            ("t1", "l1", "-6"),
+        ]
+        assert report.violations[2].message == "d_1.d_2 is nonzero: generator 't1' maps to -6*'l1'"
+
     def test_homology_refuses_defective_complex(self):
         c = _complex((1, 1, 1), [[[2]], [[3]]])
         with pytest.raises(ValidationError):

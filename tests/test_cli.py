@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, stream discipline, porcelain records."""
 
+import os
 import subprocess
 import sys
 
@@ -120,6 +121,16 @@ class TestSnfCommand:
         v = parse_matrix("\n".join(blocks[v_at + 1 :]))
         assert u @ source @ v == s
 
+    def test_without_witness_computes_none(self, tmp_path, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("smith_normal_form called without --witness")
+
+        monkeypatch.setattr("nmshom.cli.smith_normal_form", refuse)
+        path = _write(tmp_path, "m.txt", "rows 2 cols 2\n4 0\n0 6\n")
+        result = cmd_snf(path)
+        assert result.exit_code == 0
+        assert result.machine_lines == ("snf 2 12",)
+
     def test_malformed_matrix_exit_two(self, tmp_path):
         result = cmd_snf(_write(tmp_path, "m.txt", "rows 1 cols 1\nx\n"))
         assert result.exit_code == 2
@@ -196,6 +207,53 @@ class TestMainRendering:
             "porcelain 1\nviolation duplicate-orbit-id a\nviolation duplicate-incidence b a\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, text, expected",
+        [
+            # gcd 1 and lcm 10^2999 * 33...3, about 6000 digits
+            (
+                ["--porcelain", "snf"],
+                f"rows 2 cols 2\n1{'0' * 2999} 0\n0 {'3' * 3000}\n",
+                f"porcelain 1\nsnf 1 {'3' * 3000}{'0' * 2999}\n",
+            ),
+            (
+                ["snf"],
+                f"rows 2 cols 2\n1{'0' * 2999} 0\n0 {'3' * 3000}\n",
+                f"elementary divisors: 1 {'3' * 3000}{'0' * 2999}\n",
+            ),
+            # d.d holds the product of two 4001-digit coefficients
+            (
+                ["--porcelain", "validate"],
+                "format nmsflow 1\ndim 3\norbit x index 0\norbit y index 1\norbit z index 2\n"
+                f"incidence y x 1{'0' * 4000}\nincidence z y -1{'0' * 4000}\n",
+                f"porcelain 1\nviolation nonzero-boundary-square z x -1{'0' * 8000}\n",
+            ),
+        ],
+        ids=["snf-porcelain", "snf-human", "validate-porcelain"],
+    )
+    def test_integers_past_the_conversion_limit_are_printed_in_full(
+        self, tmp_path, capsys, argv, text, expected
+    ):
+        code = main([*argv, _write(tmp_path, "input.txt", text)])
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert code == (1 if "validate" in argv else 0)
+        assert "Traceback" not in captured.err
+
+    def test_seifert_results_past_the_conversion_limit_are_printed_in_full(self, capsys):
+        # two betas of the longest readable length sum to one digit more
+        digits = sys.get_int_max_str_digits() or 4300
+        nines = "9" * digits
+        assert main(["seifert", "normalize", f"0;{nines}/1,{nines}/1"]) == 0
+        assert capsys.readouterr().out == f"0;1{'9' * (digits - 1)}8/1\n"
+        # torsion 2^13000 * 5^6000 = 2^7000 * 10^6000, 8108 digits; each alpha has under 4300
+        two, five = 2**13000, 5**6000
+        invariants = f"0;1/{two},1/{two},1/{five},1/{five}"
+        assert main(["--porcelain", "homology", "--seifert", invariants]) == 0
+        assert capsys.readouterr().out == (
+            f"porcelain 1\nhomology 0 1 {2**7000}{'0' * 6000}\nhomology 1 0\nhomology 2 1\n"
+        )
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["homology"])
@@ -237,6 +295,30 @@ class TestEndToEnd:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
+
+    def test_stdin_decodes_like_a_file_under_the_c_locale(self, tmp_path):
+        # Under the C locale sys.stdin decodes with surrogateescape, which
+        # let an undecodable comment byte through on stdin only.
+        data = b"format nmsflow 1\n# caf\xff\ndim 2\norbit a index 0\norbit b index 1\n"
+        path = tmp_path / "bad.nms"
+        path.write_bytes(data)
+        unset = ("LC_", "PYTHONUTF8", "PYTHONIOENCODING")
+        env = {k: v for k, v in os.environ.items() if not k.startswith(unset)}
+        env.update(LC_ALL="C", LANG="C")
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "nmshom", "validate", source],
+                input=data,
+                capture_output=True,
+                env=env,
+            )
+            for source in ("-", str(path))
+        ]
+        for run in runs:
+            assert run.returncode == 2
+            assert run.stdout == b""
+            assert run.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xff")
+        assert runs[0].stderr == runs[1].stderr
 
     def test_snf_reads_stdin(self):
         result = self._run(["snf", "-"], stdin_text="rows 2 cols 2\n2 0\n0 3\n")

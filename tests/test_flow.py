@@ -241,6 +241,45 @@ class TestChainConversion:
         )
         assert fc.to_chain_complex().boundary(1) == IntegerMatrix.from_rows([[3], [0]])
 
+    def test_boundaries_match_dense_grid_from_incidences(self):
+        # Ids like o9 and o10 are declared in shuffled order, so id order
+        # differs from both declaration and numeric order.  Inner degrees may
+        # be empty.  d.d = 0 with adjacent nonzero boundaries: each degree's
+        # orbits split into those hit by the boundary from above, whose own
+        # boundary is zero, and the rest.
+        rng = random.Random(331)
+        for _ in range(200):
+            dim = rng.randint(2, 5)
+            counts = [rng.randint(0 if 0 < k < dim - 1 else 1, 5) for k in range(dim)]
+            numbers = rng.sample(range(1, 30), sum(counts))
+            ids, start = [], 0
+            for count in counts:
+                ids.append([f"o{n}" for n in numbers[start : start + count]])
+                start += count
+            hit = [set(rng.sample(level, rng.randint(0, len(level)))) for level in ids]
+            coefficient = {}
+            for k in range(1, dim):
+                for upper in ids[k]:
+                    if upper in hit[k]:
+                        continue
+                    for lower in hit[k - 1]:
+                        if rng.random() < 0.6:
+                            coefficient[upper, lower] = rng.randint(-4, 4)
+            lines = [f"orbit {o} index {k}" for k, level in enumerate(ids) for o in level]
+            lines += [f"incidence {u} {l} {c}" for (u, l), c in coefficient.items()]
+            rng.shuffle(lines)
+            fc = parse_flow_complex(f"format nmsflow 1\ndim {dim}\n" + "\n".join(lines) + "\n")
+            complex_ = fc.to_chain_complex()
+            labels = [sorted(level) for level in ids]
+            assert complex_.generator_labels == tuple(map(tuple, labels))
+            for k in range(1, dim):
+                grid = [
+                    [coefficient.get((upper, lower), 0) for upper in labels[k]]
+                    for lower in labels[k - 1]
+                ]
+                expected = IntegerMatrix.from_rows(grid, cols=len(labels[k]))
+                assert complex_.boundary(k) == expected, (k, fc.serialize())
+
     def test_rank_sum_equals_orbit_count(self):
         rng = random.Random(307)
         for _ in range(25):

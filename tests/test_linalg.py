@@ -18,7 +18,8 @@ from nmshom import (
     parse_matrix,
     smith_normal_form,
 )
-from nmshom.linalg import _cofactor_determinant
+from nmshom.linalg import _cofactor_determinant, _isolate_nonzeros
+from nmshom.validation import _format_int
 
 from randgen import random_matrix, random_unimodular
 
@@ -256,6 +257,21 @@ class TestDivisorsOnlyPath:
         for m in _divisor_corpus():
             assert elementary_divisors(m) == list(smith_normal_form(m).divisors), m
 
+    def test_isolated_entries_are_positive_and_alone(self):
+        # smith_normal_form and elementary_divisors take no sign fix-up and
+        # stop on a row test; both rest on this output shape.
+        for m in _divisor_corpus():
+            identity = IntegerMatrix.identity
+            for u, vt in (
+                (identity(m.rows).to_rows(), identity(m.cols).to_rows()),
+                ([[] for _ in range(m.rows)], [[] for _ in range(m.cols)]),
+            ):
+                a = _isolate_nonzeros(m.to_rows(), u, vt)
+                assert len(a) == m.rows and all(len(row) == m.cols for row in a), m
+                assert all(sum(1 for e in row if e) <= 1 for row in a), m
+                assert all(sum(1 for e in col if e) <= 1 for col in zip(*a)), m
+                assert all(e >= 0 for row in a for e in row), m
+
     def test_prefix_products_match_minors_gcd(self):
         rng = random.Random(173)
         for _ in range(100):
@@ -364,6 +380,19 @@ class TestMatrixText:
         with pytest.raises(ParseError) as err:
             parse_matrix(f"rows {digits} cols 1\n")
         assert (err.value.line, err.value.reason.split(":")[0]) == (1, "too long row count")
+
+    def test_integers_past_the_conversion_limit_are_printed_in_full(self):
+        limit = sys.get_int_max_str_digits()
+        values = [0, 7, -7, 10**600 - 1, 10**600, -(10**600), 10**1200 + 1]
+        values += [-(10**4400 + 5 * 10**600), 3 * 10 ** (limit + 10)]
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [str(v) for v in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert [_format_int(v) for v in values] == expected
+        m = IntegerMatrix.from_rows([values[-2:]])
+        assert format_matrix(m) == f"rows 1 cols 2\n{expected[-2]} {expected[-1]}\n"
 
     def test_wrong_entry_count(self):
         with pytest.raises(ParseError) as err:
