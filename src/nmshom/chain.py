@@ -1,10 +1,18 @@
 """Finite chain complexes of free abelian groups and their homology.
 
-A complex stores one rank per degree 0..top_degree and one boundary matrix
-per degree 1..top_degree; the boundary below degree 0 and above the top are
-zero maps.  Homology is computed degree by degree from Smith normal form:
-the free rank is ranks[k] - rank(d_k) - rank(d_{k+1}) and the torsion is the
-list of elementary divisors of d_{k+1} that exceed 1.
+A complex stores one rank per degree 0..top_degree and one boundary map per
+degree 1..top_degree; the boundary below degree 0 and above the top are zero
+maps.  Each boundary is kept as sparse columns: column j of d_k is the tuple
+of (row, value) pairs of its nonzero entries.  A flow's boundaries are its
+incidence lists, so this storage is as large as the incidences, not as the
+dense grid.  The d.d = 0 check multiplies column by column over those
+nonzeros, so its cost is proportional to the number of nonzero products
+a_ik * b_kj rather than to the product's shape.  A dense
+:class:`~nmshom.linalg.IntegerMatrix` is built only on request, by
+:meth:`ChainComplex.boundary`, and by :meth:`ChainComplex.homology` once per
+boundary for the Smith normal form: the free rank is
+ranks[k] - rank(d_k) - rank(d_{k+1}) and the torsion is the list of
+elementary divisors of d_{k+1} that exceed 1.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import IntegerMatrix, elementary_divisors, matrix_multiply
+from .linalg import IntegerMatrix, elementary_divisors
 from .validation import ValidationError, ValidationReport, Violation, _format_int
 
 __all__ = ["HomologyGroup", "ChainComplex"]
@@ -55,7 +63,10 @@ class ChainComplex:
     """Chain complex with explicit ranks, boundaries, and generator labels.
 
     ``boundaries[k - 1]`` is the matrix of d_k, of shape ranks[k-1] x
-    ranks[k]; column j gives the boundary of generator j in degree k.
+    ranks[k]; column j gives the boundary of generator j in degree k.  The
+    complex keeps only the nonzero entries of each column, so a sparse
+    boundary costs memory in proportion to its nonzeros, and
+    :meth:`boundary` builds a dense matrix each time it is called.
     Construction checks shapes and label uniqueness only; whether the
     boundary condition d.d = 0 holds is reported separately by
     :meth:`check_boundary_condition` so that defective complexes can still
@@ -63,7 +74,7 @@ class ChainComplex:
     is computed once and kept.
     """
 
-    __slots__ = ("_ranks", "_boundaries", "_labels", "_square_report")
+    __slots__ = ("_ranks", "_columns", "_labels", "_square_report")
 
     def __init__(self, ranks, boundaries, generator_labels=None):
         ranks = tuple(int(r) for r in ranks)
@@ -101,9 +112,31 @@ class ChainComplex:
                 if len(set(degree_labels)) != len(degree_labels):
                     raise ValueError(f"duplicate generator labels in degree {k}")
         self._ranks = ranks
-        self._boundaries = boundaries
+        self._columns = tuple(
+            tuple(
+                tuple((i, column[i]) for i in itertools.compress(range(m.rows), column))
+                for column in map(m.column, range(m.cols))
+            )
+            for m in boundaries
+        )
         self._labels = labels
         self._square_report: ValidationReport | None = None
+
+    @classmethod
+    def _from_columns(cls, ranks, columns, generator_labels) -> "ChainComplex":
+        """Build from sparse columns that the caller has already checked.
+
+        ``columns[k - 1][j]`` lists the (row, value) pairs of the nonzero
+        entries in column j of d_k, with rows inside 0..ranks[k-1] - 1 and
+        no row twice.  Shapes and label uniqueness are not checked again;
+        flow assembly, which validates both, is the one caller.
+        """
+        complex_ = cls.__new__(cls)
+        complex_._ranks = tuple(ranks)
+        complex_._columns = tuple(tuple(map(tuple, degree)) for degree in columns)
+        complex_._labels = tuple(map(tuple, generator_labels))
+        complex_._square_report = None
+        return complex_
 
     @property
     def top_degree(self) -> int:
@@ -118,38 +151,55 @@ class ChainComplex:
         return self._labels
 
     def boundary(self, k: int) -> IntegerMatrix:
-        """Matrix of d_k; the maps off either end are zero."""
-        if k == 0:
-            return IntegerMatrix.zeros(0, self._ranks[0])
-        if k == self.top_degree + 1:
-            return IntegerMatrix.zeros(self._ranks[self.top_degree], 0)
+        """Matrix of d_k, built densely on each call; the maps off either end are zero."""
+        if not 0 <= k <= self.top_degree + 1:
+            raise ValueError(
+                f"no boundary in degree {k}; valid degrees are 0..{self.top_degree + 1}"
+            )
+        rows = self._ranks[k - 1] if k else 0
+        cols = self._ranks[k] if k <= self.top_degree else 0
+        flat = [0] * (rows * cols)
         if 1 <= k <= self.top_degree:
-            return self._boundaries[k - 1]
-        raise ValueError(f"no boundary in degree {k}; valid degrees are 0..{self.top_degree + 1}")
+            for j, column in enumerate(self._columns[k - 1]):
+                for i, value in column:
+                    flat[i * cols + j] = value
+        return IntegerMatrix(rows, cols, flat)
 
     def check_boundary_condition(self) -> ValidationReport:
-        """Report every nonzero entry of d_k . d_(k+1), with generator labels."""
+        """Report every nonzero entry of d_k . d_(k+1), with generator labels.
+
+        Each product column is accumulated from the nonzeros of d_(k+1)'s
+        column and of the d_k columns they select, so the work is the
+        number of nonzero products; violations come in row-major order
+        (target row, then source column) for each k in turn.
+        """
         if self._square_report is not None:
             return self._square_report
         violations = []
         for k in range(1, self.top_degree):
-            product = matrix_multiply(self.boundary(k), self.boundary(k + 1))
-            for i in range(product.rows):
-                row = product.row(i)
-                for j in itertools.compress(range(product.cols), row):  # nonzeros, row-major
-                    value = _format_int(row[j])
-                    source = self._labels[k + 1][j]
-                    target = self._labels[k - 1][i]
-                    violations.append(
-                        Violation(
-                            code="nonzero-boundary-square",
-                            message=(
-                                f"d_{k}.d_{k + 1} is nonzero: generator {source!r} "
-                                f"maps to {value}*{target!r}"
-                            ),
-                            subjects=(source, target, value),
-                        )
+            lower = self._columns[k - 1]
+            nonzero = []  # (target row, source column, value)
+            for j, column in enumerate(self._columns[k]):
+                sums: dict[int, int] = {}
+                for m, b in column:
+                    for i, a in lower[m]:
+                        sums[i] = sums.get(i, 0) + a * b
+                nonzero.extend((i, j, value) for i, value in sums.items() if value)
+            nonzero.sort()
+            for i, j, entry in nonzero:
+                value = _format_int(entry)
+                source = self._labels[k + 1][j]
+                target = self._labels[k - 1][i]
+                violations.append(
+                    Violation(
+                        code="nonzero-boundary-square",
+                        message=(
+                            f"d_{k}.d_{k + 1} is nonzero: generator {source!r} "
+                            f"maps to {value}*{target!r}"
+                        ),
+                        subjects=(source, target, value),
                     )
+                )
         self._square_report = ValidationReport(tuple(violations))
         return self._square_report
 
@@ -167,7 +217,11 @@ class ChainComplex:
         if not report.ok:
             raise ValidationError(report, "boundary condition d.d = 0 fails")
         # divisors[k] belongs to d_k; d_0 and d_(top+1) are zero maps
-        divisors = [[], *(elementary_divisors(d) for d in self._boundaries), []]
+        divisors = [
+            [],
+            *(elementary_divisors(self.boundary(k)) for k in range(1, self.top_degree + 1)),
+            [],
+        ]
         return [
             HomologyGroup(
                 degree=k,

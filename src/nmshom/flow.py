@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .chain import ChainComplex
-from .linalg import IntegerMatrix, _significant_lines
+from .linalg import _significant_lines
 from .validation import ParseError, ValidationError, ValidationReport, Violation, _parse_int
 
 __all__ = ["Orbit", "Incidence", "FlowComplex", "parse_flow_complex", "ORBIT_ID_PATTERN"]
@@ -244,14 +244,14 @@ class FlowComplex:
             ids.append(orbit.id)
 
         ranks = [len(ids) for ids in by_degree]
-        rows = [[[0] * ranks[k] for _ in range(ranks[k - 1])] for k in range(1, self._dimension)]
+        # Column j of d_k lists the nonzero incidences of the j-th index-k orbit.
+        columns = [[[] for _ in range(ranks[k])] for k in range(1, self._dimension)]
         for inc in self._incidences:
-            k, j = position[inc.upper]
-            rows[k - 1][position[inc.lower][1]][j] = inc.coefficient
-        boundaries = [IntegerMatrix.from_rows(r, cols=ranks[k]) for k, r in enumerate(rows, 1)]
-        del rows  # the boundaries hold the entries; free the lists before the d.d check
+            if inc.coefficient:
+                k, j = position[inc.upper]
+                columns[k - 1][j].append((position[inc.lower][1], inc.coefficient))
 
-        complex_ = ChainComplex(ranks, boundaries, generator_labels=by_degree)
+        complex_ = ChainComplex._from_columns(ranks, columns, by_degree)
         square_report = complex_.check_boundary_condition()
         if not square_report.ok:
             raise ValidationError(square_report, "incidence data violates d.d = 0")

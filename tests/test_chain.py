@@ -4,9 +4,19 @@ import random
 
 import pytest
 
-from nmshom import ChainComplex, HomologyGroup, IntegerMatrix, ValidationError
+from nmshom import (
+    ChainComplex,
+    FlowComplex,
+    HomologyGroup,
+    Incidence,
+    IntegerMatrix,
+    ValidationError,
+    Violation,
+    matrix_multiply,
+    parse_flow_complex,
+)
 
-from randgen import random_zero_square_flow
+from randgen import random_conjugated_flow, random_matrix, random_zero_square_flow
 
 
 def _complex(ranks, rows_list, labels=None):
@@ -161,3 +171,146 @@ class TestEuler:
                 g.betti if g.degree % 2 == 0 else -g.betti for g in c.homology()
             )
             assert c.euler_characteristic() == betti_sum
+
+
+def _dense_square_violations(c):
+    """The d.d report the dense way: every nonzero of each full product, row-major."""
+    found = []
+    for k in range(1, c.top_degree):
+        product = matrix_multiply(c.boundary(k), c.boundary(k + 1))
+        for i in range(product.rows):
+            for j in range(product.cols):
+                if product[i, j]:
+                    source = c.generator_labels[k + 1][j]
+                    target = c.generator_labels[k - 1][i]
+                    value = str(product[i, j])
+                    message = (
+                        f"d_{k}.d_{k + 1} is nonzero: generator {source!r} "
+                        f"maps to {value}*{target!r}"
+                    )
+                    found.append(
+                        Violation("nonzero-boundary-square", message, (source, target, value))
+                    )
+    return tuple(found)
+
+
+def _grids(flow):
+    """Each boundary of a flow as a dense IntegerMatrix, straight from its incidences."""
+    labels = [sorted(o.id for o in flow.orbits if o.index == k) for k in range(flow.dimension)]
+    coefficient = {(i.upper, i.lower): i.coefficient for i in flow.incidences}
+    grids = [
+        IntegerMatrix.from_rows(
+            [[coefficient.get((u, l), 0) for u in labels[k]] for l in labels[k - 1]],
+            cols=len(labels[k]),
+        )
+        for k in range(1, flow.dimension)
+    ]
+    return labels, grids
+
+
+def _flow_square_report(flow):
+    try:
+        return flow.to_chain_complex().check_boundary_condition()
+    except ValidationError as exc:
+        return exc.report
+
+
+class TestConjugatedFlows:
+    def test_known_homology_and_dense_agreement_under_perturbation(self):
+        violating = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            flow, groups = random_conjugated_flow(rng)
+            c = flow.to_chain_complex()
+            assert c.homology() == groups, (seed, flow.serialize())
+            assert all(not c.boundary(k).is_zero() for k in range(1, c.top_degree + 1))
+            assert _dense_square_violations(c) == ()
+
+            # Add a nonzero delta to one entry of one boundary; an entry that
+            # becomes 0 stays as an explicit zero incidence.
+            k = rng.randint(1, c.top_degree)
+            i, j = rng.randrange(c.ranks[k - 1]), rng.randrange(c.ranks[k])
+            upper, lower = c.generator_labels[k][j], c.generator_labels[k - 1][i]
+            delta = rng.choice([-3, -2, -1, 1, 2, 3])
+            incidences = [x for x in flow.incidences if (x.upper, x.lower) != (upper, lower)]
+            incidences.append(Incidence(upper, lower, c.boundary(k)[i, j] + delta))
+            perturbed = FlowComplex(flow.dimension, flow.orbits, incidences)
+
+            labels, grids = _grids(perturbed)
+            public = ChainComplex(c.ranks, grids, generator_labels=labels)
+            for degree, grid in enumerate(grids, start=1):
+                assert public.boundary(degree) == grid
+            expected = _dense_square_violations(public)
+            assert public.check_boundary_condition().violations == expected, seed
+            assert _flow_square_report(perturbed).violations == expected, seed
+            violating += bool(expected)
+        assert violating > 100  # most perturbations break d.d = 0
+
+
+class TestSparseEdgeCases:
+    def test_top_degree_zero(self):
+        c = ChainComplex((3,), ())
+        assert c.boundary(0) == IntegerMatrix.zeros(0, 3)
+        assert c.boundary(1) == IntegerMatrix.zeros(3, 0)
+        assert c.check_boundary_condition().ok
+        assert c.homology() == [HomologyGroup(0, 3)]
+
+    def test_top_degree_one_has_no_products(self):
+        d = IntegerMatrix.from_rows([[0, 5, 0], [-2, 0, 0]])
+        c = ChainComplex((2, 3), (d,))
+        assert c.boundary(1) == d
+        assert c.check_boundary_condition().ok
+        assert c.homology() == [HomologyGroup(0, 0, (10,)), HomologyGroup(1, 1)]
+
+    def test_rank_zero_degree_between_nonzero_boundaries(self):
+        # d_1 and d_4 are nonzero but every product passes through an empty degree
+        c = _complex((1, 2, 0, 2, 1), [[[1, -1]], [[], []], [], [[3], [0]]])
+        assert c.boundary(1) == IntegerMatrix.from_rows([[1, -1]])
+        assert c.boundary(2) == IntegerMatrix.zeros(2, 0)
+        assert c.boundary(4) == IntegerMatrix.from_rows([[3], [0]])
+        assert c.check_boundary_condition().ok
+        assert _dense_square_violations(c) == ()
+
+    def test_explicit_zero_incidences_match_absence(self):
+        head = (
+            "format nmsflow 1\ndim 4\n"
+            "orbit a index 0\norbit a2 index 0\norbit b index 1\norbit b2 index 1\n"
+            "orbit c index 2\norbit r index 3\n"
+        )
+        reports = []
+        for body in ("incidence b a 2\n", "incidence b a 2\nincidence c b 3\n"):
+            zeros = "incidence b2 a 0\nincidence c b2 0\nincidence b a2 0\nincidence r c 0\n"
+            plain = parse_flow_complex(head + body)
+            padded = parse_flow_complex(head + body + zeros)
+            assert _flow_square_report(padded) == _flow_square_report(plain)
+            labels, grids = _grids(padded)
+            assert _grids(plain)[1] == grids
+            public = ChainComplex([len(x) for x in labels], grids, generator_labels=labels)
+            assert public.check_boundary_condition() == _flow_square_report(plain)
+            assert public.check_boundary_condition().violations == _dense_square_violations(public)
+            reports.append(_flow_square_report(plain))
+        assert reports[0].ok
+        assert [v.subjects for v in reports[1].violations] == [("c", "a", "6")]
+
+    def test_hand_built_complexes_round_trip_and_match_dense_report(self):
+        rng = random.Random(541)
+        for _ in range(300):
+            top = rng.randint(0, 4)
+            ranks = [rng.randint(0, 4) for _ in range(top + 1)]
+            boundaries = []
+            for k in range(1, top + 1):
+                m = random_matrix(
+                    rng,
+                    min_rows=ranks[k - 1], max_rows=ranks[k - 1],
+                    min_cols=ranks[k], max_cols=ranks[k],
+                    low=-2, high=2,
+                )
+                if rng.random() < 0.2 and m.rows and m.cols:  # one huge entry
+                    rows = m.to_rows()
+                    rows[rng.randrange(m.rows)][rng.randrange(m.cols)] = rng.choice([-1, 1]) * 2**80
+                    m = IntegerMatrix.from_rows(rows, cols=m.cols)
+                boundaries.append(m)
+            c = ChainComplex(ranks, boundaries)
+            for k, d in enumerate(boundaries, start=1):
+                assert c.boundary(k) == d
+            assert c.check_boundary_condition().violations == _dense_square_violations(c)

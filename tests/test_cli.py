@@ -1,12 +1,20 @@
 """Command-line behavior: exit codes, stream discipline, porcelain records."""
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from nmshom import IntegerMatrix, format_matrix, parse_matrix
+from nmshom import (
+    FlowComplex,
+    Incidence,
+    IntegerMatrix,
+    format_matrix,
+    matrix_multiply,
+    parse_matrix,
+)
 from nmshom.cli import (
     cmd_homology,
     cmd_seifert_emit,
@@ -16,6 +24,8 @@ from nmshom.cli import (
     cmd_validate,
     main,
 )
+
+from randgen import random_conjugated_flow
 
 GOOD_FLOW = "format nmsflow 1\ndim 3\norbit a index 0\norbit b index 2\n"
 EQUAL_INDEX_FLOW = (
@@ -63,6 +73,66 @@ class TestValidateCommand:
     def test_missing_file_is_exit_two(self):
         result = cmd_validate("/no/such/file")
         assert result.exit_code == 2
+
+
+class TestValidateStaysSparse:
+    """validate checks d.d = 0 on the sparse columns and never densifies."""
+
+    @staticmethod
+    def _block_union(defect):
+        rng = random.Random(809)
+        orbits, incidences = [], []
+        while len(orbits) < 2000:
+            block, _ = random_conjugated_flow(rng, dim=4, prefix=f"b{len(orbits)}q")
+            orbits += block.orbits
+            incidences += block.incidences
+        if defect:
+            # An index-1 orbit hit from index 2 gains an incidence on an
+            # attracting orbit of the first block: row a of d_1.d_2 turns nonzero.
+            index = {o.id: o.index for o in orbits}
+            lower = next(x.lower for x in reversed(incidences) if index[x.upper] == 2)
+            target = next(o.id for o in orbits if o.index == 0)
+            incidences.append(Incidence(lower, target, 1))
+        return FlowComplex(4, orbits, incidences).serialize()
+
+    @pytest.fixture
+    def dense_work(self, monkeypatch):
+        counts = {"matrix_multiply": 0, "IntegerMatrix": 0}
+        init = IntegerMatrix.__init__
+
+        def counting_multiply(a, b):
+            counts["matrix_multiply"] += 1
+            return matrix_multiply(a, b)
+
+        def counting_init(self, *args, **kwargs):
+            counts["IntegerMatrix"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(IntegerMatrix, "__init__", counting_init)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "nmshom" and hasattr(module, "matrix_multiply"):
+                monkeypatch.setattr(module, "matrix_multiply", counting_multiply)
+        return counts
+
+    def test_counters_see_dense_work(self, dense_work):
+        a = IntegerMatrix.identity(2)
+        a @ a
+        assert dense_work == {"matrix_multiply": 1, "IntegerMatrix": 2}
+
+    def test_valid_union(self, tmp_path, dense_work):
+        result = cmd_validate(_write(tmp_path, "f.nms", self._block_union(defect=False)))
+        assert (result.exit_code, result.machine_lines) == (0, ("valid",))
+        assert dense_work == {"matrix_multiply": 0, "IntegerMatrix": 0}
+
+    def test_union_with_square_defect(self, tmp_path, dense_work):
+        result = cmd_validate(_write(tmp_path, "f.nms", self._block_union(defect=True)))
+        assert result.exit_code == 1
+        assert result.machine_lines
+        assert all(
+            line.startswith("violation nonzero-boundary-square ") and " b0q0_" in line
+            for line in result.machine_lines
+        )
+        assert dense_work == {"matrix_multiply": 0, "IntegerMatrix": 0}
 
 
 class TestHomologyCommand:
