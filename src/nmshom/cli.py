@@ -15,6 +15,7 @@ straight back into ``homology``.  File arguments accept ``-`` for stdin.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -60,18 +61,23 @@ def _read_text(path: str) -> str:
         return handle.read().decode("utf-8")
 
 
-def _guard(run) -> CommandResult:
-    """Map the library's exceptions onto exit codes 1 and 2."""
-    try:
-        return run()
-    except ParseError as exc:
-        return CommandResult(2, diagnostics=f"error: {exc}")
-    except ValidationError as exc:
-        head = f"error: {exc.context}" if exc.context else "error: validation failed"
-        detail = exc.report.describe()
-        return CommandResult(1, diagnostics=head + ("\n" + detail if detail else ""))
-    except (OSError, UnicodeDecodeError) as exc:
-        return CommandResult(2, diagnostics=f"error: {exc}")
+def _guard(command):
+    """Decorate a ``cmd_*`` function to map the library's exceptions onto exit codes 1 and 2."""
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs) -> CommandResult:
+        try:
+            return command(*args, **kwargs)
+        except ParseError as exc:
+            return CommandResult(2, diagnostics=f"error: {exc}")
+        except ValidationError as exc:
+            head = f"error: {exc.context}" if exc.context else "error: validation failed"
+            detail = exc.report.describe()
+            return CommandResult(1, diagnostics=head + ("\n" + detail if detail else ""))
+        except (OSError, UnicodeDecodeError) as exc:
+            return CommandResult(2, diagnostics=f"error: {exc}")
+
+    return guarded
 
 
 def _violation_lines(report: ValidationReport) -> tuple[str, ...]:
@@ -81,21 +87,19 @@ def _violation_lines(report: ValidationReport) -> tuple[str, ...]:
     )
 
 
+@_guard
 def cmd_validate(path: str) -> CommandResult:
-    def run() -> CommandResult:
-        complex_ = parse_flow_complex(_read_text(path))
-        try:
-            complex_.to_chain_complex()  # runs the structural checks, then d.d = 0
-        except ValidationError as exc:
-            return CommandResult(
-                1,
-                human_text="invalid",
-                machine_lines=_violation_lines(exc.report),
-                diagnostics=exc.report.describe(),
-            )
-        return CommandResult(0, human_text="valid", machine_lines=("valid",))
-
-    return _guard(run)
+    complex_ = parse_flow_complex(_read_text(path))
+    try:
+        complex_.to_chain_complex()  # runs the structural checks, then d.d = 0
+    except ValidationError as exc:
+        return CommandResult(
+            1,
+            human_text="invalid",
+            machine_lines=_violation_lines(exc.report),
+            diagnostics=exc.report.describe(),
+        )
+    return CommandResult(0, human_text="valid", machine_lines=("valid",))
 
 
 def _homology_record(group: HomologyGroup) -> str:
@@ -105,64 +109,53 @@ def _homology_record(group: HomologyGroup) -> str:
     return line
 
 
+@_guard
 def cmd_homology(path: str | None = None, seifert: str | None = None) -> CommandResult:
     if (path is None) == (seifert is None):
         raise ValueError("exactly one of path or seifert is required")
-
-    def run() -> CommandResult:
-        if seifert is not None:
-            groups = parse_invariant(seifert).homology_closed_form()
-        else:
-            groups = parse_flow_complex(_read_text(path)).to_chain_complex().homology()
-        human = "\n".join(f"H_{group.degree} = {group}" for group in groups)
-        return CommandResult(0, human, tuple(_homology_record(g) for g in groups))
-
-    return _guard(run)
+    if seifert is not None:
+        groups = parse_invariant(seifert).homology_closed_form()
+    else:
+        groups = parse_flow_complex(_read_text(path)).to_chain_complex().homology()
+    human = "\n".join(f"H_{group.degree} = {group}" for group in groups)
+    return CommandResult(0, human, tuple(_homology_record(g) for g in groups))
 
 
+@_guard
 def cmd_snf(path: str, witness: bool = False) -> CommandResult:
-    def run() -> CommandResult:
-        parsed = parse_matrix(_read_text(path))
-        decomposition = smith_normal_form(parsed) if witness else None
-        divisors = decomposition.divisors if witness else elementary_divisors(parsed)
-        divisor_text = " ".join(map(_format_int, divisors))
-        human = f"elementary divisors: {divisor_text or '(none)'}"
-        if witness:
-            for label, matrix in (
-                ("u", decomposition.u),
-                ("s", decomposition.s),
-                ("v", decomposition.v),
-            ):
-                human += f"\n{label} =\n" + format_matrix(matrix).rstrip("\n")
-        record = "snf" + (f" {divisor_text}" if divisor_text else "")
-        return CommandResult(0, human, (record,))
-
-    return _guard(run)
+    parsed = parse_matrix(_read_text(path))
+    decomposition = smith_normal_form(parsed) if witness else None
+    divisors = decomposition.divisors if witness else elementary_divisors(parsed)
+    divisor_text = " ".join(map(_format_int, divisors))
+    human = f"elementary divisors: {divisor_text or '(none)'}"
+    if witness:
+        for label, matrix in (
+            ("u", decomposition.u),
+            ("s", decomposition.s),
+            ("v", decomposition.v),
+        ):
+            human += f"\n{label} =\n" + format_matrix(matrix).rstrip("\n")
+    record = "snf" + (f" {divisor_text}" if divisor_text else "")
+    return CommandResult(0, human, (record,))
 
 
+@_guard
 def cmd_seifert_equiv(first: str, second: str) -> CommandResult:
-    def run() -> CommandResult:
-        verdict = seifert_equivalent(parse_invariant(first), parse_invariant(second))
-        word = "equivalent" if verdict else "inequivalent"
-        return CommandResult(0 if verdict else 1, word, (f"equiv {word}",))
-
-    return _guard(run)
+    verdict = seifert_equivalent(parse_invariant(first), parse_invariant(second))
+    word = "equivalent" if verdict else "inequivalent"
+    return CommandResult(0 if verdict else 1, word, (f"equiv {word}",))
 
 
+@_guard
 def cmd_seifert_normalize(invariants: str) -> CommandResult:
-    def run() -> CommandResult:
-        canonical = format_invariant(parse_invariant(invariants).normalized())
-        return CommandResult(0, canonical, (f"normalize {canonical}",))
-
-    return _guard(run)
+    canonical = format_invariant(parse_invariant(invariants).normalized())
+    return CommandResult(0, canonical, (f"normalize {canonical}",))
 
 
+@_guard
 def cmd_seifert_emit(invariants: str) -> CommandResult:
-    def run() -> CommandResult:
-        document = parse_invariant(invariants).to_flow_complex().serialize()
-        return CommandResult(0, human_text=document, machine_lines=None)
-
-    return _guard(run)
+    document = parse_invariant(invariants).to_flow_complex().serialize()
+    return CommandResult(0, human_text=document, machine_lines=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

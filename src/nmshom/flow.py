@@ -23,33 +23,35 @@ ignored)::
 Orbit ids are words over [A-Za-z0-9_].  ``incidence U L c`` records the net
 coefficient c of lower orbit L in the boundary of upper orbit U; pairs not
 listed have coefficient 0.
+
+The records :class:`Orbit` and :class:`Incidence` are named tuples, so they
+order, compare and hash as tuples: ``Orbit("a", 0) == ("a", 0)``.
+:class:`FlowComplex` takes only these two types.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chain import ChainComplex
-from .linalg import _significant_lines
-from .validation import ParseError, ValidationError, ValidationReport, Violation, _parse_int
+from .validation import ParseError, ValidationError, ValidationReport, Violation
+from .validation import _parse_int, _significant_lines
 
 __all__ = ["Orbit", "Incidence", "FlowComplex", "parse_flow_complex", "ORBIT_ID_PATTERN"]
 
 ORBIT_ID_PATTERN = re.compile(r"[A-Za-z0-9_]+")
 
 
-@dataclass(frozen=True, order=True)
-class Orbit:
-    """A periodic orbit with its round-handle index."""
+class Orbit(NamedTuple):
+    """A periodic orbit with its round-handle index, as the named tuple ``(id, index)``."""
 
     id: str
     index: int
 
 
-@dataclass(frozen=True, order=True)
-class Incidence:
-    """Net boundary coefficient of ``lower`` in the boundary of ``upper``."""
+class Incidence(NamedTuple):
+    """Net boundary coefficient of ``lower`` in the boundary of ``upper``, as a named tuple."""
 
     upper: str
     lower: str
@@ -61,7 +63,7 @@ class FlowComplex:
 
     The constructor accepts structurally dubious data (dangling incidence
     endpoints, out-of-range indices, duplicate ids) so that :meth:`validate`
-    can report on it; only the dimension is constrained up front.
+    can report on it; only the dimension and the record types are checked up front.
     """
 
     __slots__ = ("_dimension", "_orbits", "_incidences")
@@ -71,15 +73,14 @@ class FlowComplex:
             raise TypeError(f"dimension must be an int, got {dimension!r}")
         if dimension < 2:
             raise ValueError(f"dimension must be at least 2, got {dimension}")
+        orbits, incidences = tuple(orbits), tuple(incidences)
+        for records, kind in ((orbits, Orbit), (incidences, Incidence)):
+            for record in records:
+                if not isinstance(record, kind):
+                    raise TypeError(f"not an {kind.__name__}: {record!r}")
         self._dimension = dimension
         self._orbits = tuple(sorted(orbits))
         self._incidences = tuple(sorted(incidences))
-        for orbit in self._orbits:
-            if not isinstance(orbit, Orbit):
-                raise TypeError(f"not an Orbit: {orbit!r}")
-        for incidence in self._incidences:
-            if not isinstance(incidence, Incidence):
-                raise TypeError(f"not an Incidence: {incidence!r}")
 
     @property
     def dimension(self) -> int:
@@ -122,11 +123,12 @@ class FlowComplex:
         violations: list[Violation] = []
         top = self._dimension - 1
 
+        # Both dicts are filled from the sorted records, so their keys come out ascending.
         by_id: dict[str, list[Orbit]] = {}
         for orbit in self._orbits:
             by_id.setdefault(orbit.id, []).append(orbit)
 
-        for orbit_id, group in sorted(by_id.items()):
+        for orbit_id, group in by_id.items():
             if not ORBIT_ID_PATTERN.fullmatch(orbit_id):
                 violations.append(
                     Violation(
@@ -192,7 +194,7 @@ class FlowComplex:
                         (inc.upper, inc.lower),
                     )
                 )
-        for (upper, lower), count in sorted(seen_pairs.items()):
+        for (upper, lower), count in seen_pairs.items():
             if count > 1:
                 violations.append(
                     Violation(

@@ -24,7 +24,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .validation import ParseError, _format_int, _parse_int
+from .validation import ParseError, _format_int, _parse_int, _significant_lines
 
 __all__ = [
     "IntegerMatrix",
@@ -527,15 +527,6 @@ def is_unimodular(m: IntegerMatrix) -> bool:
 
 
 _HEADER_RE = re.compile(r"rows\s+([0-9]+)\s+cols\s+([0-9]+)")
-
-
-def _significant_lines(text: str):
-    """Yield (line_number, stripped_line) skipping blanks and # comments."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
 
 
 def parse_matrix(text: str) -> IntegerMatrix:

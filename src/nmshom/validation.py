@@ -82,6 +82,19 @@ def _parse_int(token: str, line: int, what: str, shown: str | None = None) -> in
         raise ParseError(line, f"too long {what}: over {limit} digits") from None
 
 
+def _significant_lines(text: str):
+    """Yield (line_number, stripped_line) of flow or matrix text, skipping blanks and # comments.
+
+    Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``: the further breaks of ``str.splitlines``
+    (``\\x0c``, ``\\x85``, U+2028, ...) would turn the rest of a comment into input.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 _CHUNK = 10**600  # 600 digits: below 640, the least digit limit the interpreter accepts
 
 

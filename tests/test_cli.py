@@ -338,6 +338,53 @@ class TestMainRendering:
         assert plain.startswith("format nmsflow 1\n")
 
 
+# str.splitlines also breaks lines at these; the text formats do not
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    def _main(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode())
+        code = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=map(hex, map(ord, OTHER_LINE_BREAKS)))
+    def test_other_line_breaks_stay_inside_a_comment(self, tmp_path, capsys, char):
+        # the only index-1 orbit is commented out
+        flow = f"format nmsflow 1\ndim 2\norbit a index 0\n# retired:{char}orbit b index 1\n"
+        code, out, _ = self._main(tmp_path, capsys, ["--porcelain", "validate"], flow)
+        assert (code, out) == (1, "porcelain 1\nviolation missing-repelling-orbit\n")
+        # the only matrix row is commented out
+        code, out, err = self._main(tmp_path, capsys, ["snf"], f"rows 1 cols 1\n# was 5{char}7\n")
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: expected 1 matrix rows, found 0\n"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_universal_newlines_parse_alike(self, tmp_path, capsys, newline):
+        def lines(*rows):
+            return newline.join(rows) + newline
+
+        flow = lines("format nmsflow 1", "dim 2", "# c", "orbit a index 0", "orbit b index 1")
+        assert self._main(tmp_path, capsys, ["validate"], flow) == (0, "valid\n", "")
+        bad_flow = lines("format nmsflow 1", "dim 2", "", "orbit a index x")
+        assert self._main(tmp_path, capsys, ["validate"], bad_flow) == (
+            2,
+            "",
+            "error: line 4: non-integer orbit index 'x'\n",
+        )
+        matrix = lines("rows 2 cols 2", "2 0", "# c", "0 3")
+        expected = (0, "elementary divisors: 1 6\n", "")
+        assert self._main(tmp_path, capsys, ["snf"], matrix) == expected
+        bad_matrix = lines("rows 2 cols 2", "2 0", "", "3")
+        assert self._main(tmp_path, capsys, ["snf"], bad_matrix) == (
+            2,
+            "",
+            "error: line 4: expected 2 entries, found 1\n",
+        )
+
+
 class TestEndToEnd:
     def _run(self, args, stdin_text=None):
         return subprocess.run(

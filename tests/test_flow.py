@@ -1,6 +1,8 @@
 """Flow complexes: the nmsflow format, validation, and chain conversion."""
 
+import collections
 import random
+import re
 import sys
 
 import pytest
@@ -15,7 +17,7 @@ from nmshom import (
     parse_flow_complex,
 )
 
-from randgen import random_zero_square_flow
+from randgen import random_conjugated_flow, random_zero_square_flow
 
 MINIMAL = "format nmsflow 1\ndim 3\norbit a index 0\norbit b index 2\n"
 
@@ -128,6 +130,70 @@ class TestConstruction:
     def test_rejects_foreign_elements(self):
         with pytest.raises(TypeError):
             FlowComplex(2, orbits=[("a", 0)])
+
+    @pytest.mark.parametrize("foreign", [("b", 1), None], ids=["plain-tuple", "none"])
+    def test_foreign_element_is_named_before_sorting(self, foreign):
+        # a plain tuple would sort beside the records; the type check must come first
+        with pytest.raises(TypeError, match=f"^not an Orbit: {re.escape(repr(foreign))}$"):
+            FlowComplex(2, [Orbit("a", 0), foreign])
+        with pytest.raises(TypeError, match=f"^not an Incidence: {re.escape(repr(foreign))}$"):
+            FlowComplex(2, [Orbit("a", 0)], [Incidence("c", "a", 2), foreign])
+
+    def test_records_of_the_other_kind_are_foreign(self):
+        with pytest.raises(TypeError, match="^not an Orbit: Incidence"):
+            FlowComplex(2, [Orbit("a", 0), Incidence("b", "a", 1)])
+        with pytest.raises(TypeError, match="^not an Incidence: Orbit"):
+            FlowComplex(2, [], [Incidence("b", "a", 1), Orbit("a", 0)])
+
+
+class TestRecords:
+    def test_fields_are_read_only(self):
+        orbit, incidence = Orbit("a", 0), Incidence("b", "a", 1)
+        with pytest.raises(AttributeError):
+            orbit.index = 1
+        with pytest.raises(AttributeError):
+            incidence.coefficient = 2
+
+    def test_repr(self):
+        assert repr(Orbit("a", 0)) == "Orbit(id='a', index=0)"
+        assert repr(Incidence("b", "a", -2)) == "Incidence(upper='b', lower='a', coefficient=-2)"
+
+    def test_records_compare_and_hash_as_tuples(self):
+        assert hash(Orbit("a", 0)) == hash(("a", 0))
+        assert hash(Incidence("b", "a", 1)) == hash(("b", "a", 1))
+        assert Orbit("a", 0) == ("a", 0)
+        assert Incidence("b", "a", 1) == ("b", "a", 1)
+        assert Orbit("a", 1) < Orbit("b", 0) < Orbit("b", 1)
+
+    def test_order_of_records_does_not_matter(self):
+        rng = random.Random(4242)
+        for case in range(300):
+            if case % 2:
+                flow = random_conjugated_flow(rng, dim=rng.randint(2, 4))[0]
+            else:
+                flow = random_zero_square_flow(rng)
+            orbits, incidences = list(flow.orbits), list(flow.incidences)
+            for _ in range(rng.randint(1, 3)):  # duplicate ids, with equal and other indices
+                orbit = rng.choice(orbits)
+                orbits.append(Orbit(orbit.id, orbit.index + rng.choice([0, 0, -1, 1])))
+            for _ in range(rng.randint(0, 3) if incidences else 0):  # duplicate pairs
+                inc = rng.choice(incidences)
+                coefficient = inc.coefficient + rng.choice([0, 1])
+                incidences.append(Incidence(inc.upper, inc.lower, coefficient))
+            built = []
+            for _ in range(4):
+                rng.shuffle(orbits)
+                rng.shuffle(incidences)
+                fc = FlowComplex(flow.dimension, orbits, incidences)
+                built.append((fc.orbits, fc.incidences, fc.serialize(), fc.validate().violations))
+            assert all(b == built[0] for b in built), case
+            violations = built[0][3]
+            ids = [v.subjects[0] for v in violations if v.code == "duplicate-orbit-id"]
+            counts = collections.Counter(o.id for o in orbits)
+            assert ids == sorted(i for i, c in counts.items() if c > 1)
+            pairs = [v.subjects for v in violations if v.code == "duplicate-incidence"]
+            counts = collections.Counter((i.upper, i.lower) for i in incidences)
+            assert pairs == sorted(p for p, c in counts.items() if c > 1)
 
 
 class TestValidation:

@@ -5,8 +5,10 @@ whole lines are dropped, duplicated or swapped, non-UTF-8 bytes and integers pas
 interpreter's 4300-digit conversion limit are spliced in, and lines are cut
 short.  Every parser call must return or raise ParseError, and every
 ``cli.main`` call must return 0, 1 or 2 with no exception escaping and no
-traceback on stderr.  The count is fixed and nothing runs in a subprocess,
-so the whole sweep takes about a second.
+traceback on stderr.  A second property checks that a comment keeps the
+characters ``str.splitlines`` would break at, and the directive after one.
+The counts are fixed and nothing runs in a subprocess, so the whole sweep
+takes about two seconds.
 """
 
 import contextlib
@@ -29,6 +31,9 @@ FLOWS = [
 ]
 MATRICES = ["rows 3 cols 3\n2 0 -1\n4 6 0\n# note\n0 3 9\n", "rows 2 cols 0\n", "rows 1 cols 2\n5 -10\n"]
 INVARIANTS = ["1;1/2,-1/3,2/5", "0;3/4, 1/6", "2;"]
+
+# str.splitlines breaks lines at these too; the text formats do not
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 BAD_BYTES = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80\x80", b"\xfe\xff"]
 TOO_LONG = [b"9" * 4301, b"-" + b"1" * 4400, b"+" + b"0" * 5000]
@@ -123,3 +128,16 @@ def test_mutated_documents_end_cleanly(tmp_path, monkeypatch):
             path.write_bytes(data)
             codes.add(_run_cli(porcelain + rng.choice(commands) + [str(path)], b"", monkeypatch))
     assert codes == {0, 1, 2}  # the mutations reach every outcome
+
+
+def test_comment_text_after_other_line_breaks_is_ignored():
+    # a comment line ending in "<break><a directive or row of the document>" changes nothing
+    rng = random.Random(2029)
+    for case in range(200):
+        parser, documents = [(parse_flow_complex, FLOWS), (parse_matrix, MATRICES)][case % 2]
+        document = rng.choice(documents)
+        lines = document.split("\n")
+        payload = rng.choice([line for line in lines if line.strip() and not line.startswith("#")])
+        at = rng.randrange(len(lines))
+        lines.insert(at, f"# note{rng.choice(OTHER_LINE_BREAKS)}{payload}")
+        assert parser("\n".join(lines)) == parser(document), (document, at, payload)
