@@ -63,7 +63,10 @@ class FlowComplex:
 
     The constructor accepts structurally dubious data (dangling incidence
     endpoints, out-of-range indices, duplicate ids) so that :meth:`validate`
-    can report on it; only the dimension and the record types are checked up front.
+    can report on it.  Only the dimension, the record types and the types of
+    their fields are checked up front: ids are ``str``, indices and
+    coefficients are ``int`` and not ``bool``, so sorting and
+    :meth:`validate` never meet a value they cannot compare.
     """
 
     __slots__ = ("_dimension", "_orbits", "_incidences")
@@ -74,10 +77,22 @@ class FlowComplex:
         if dimension < 2:
             raise ValueError(f"dimension must be at least 2, got {dimension}")
         orbits, incidences = tuple(orbits), tuple(incidences)
-        for records, kind in ((orbits, Orbit), (incidences, Incidence)):
-            for record in records:
-                if not isinstance(record, kind):
-                    raise TypeError(f"not an {kind.__name__}: {record!r}")
+        for orbit in orbits:
+            if not isinstance(orbit, Orbit):
+                raise TypeError(f"not an Orbit: {orbit!r}")
+            name, index = orbit
+            if isinstance(index, bool) or not (isinstance(name, str) and isinstance(index, int)):
+                raise TypeError(f"Orbit fields must be (id: str, index: int): {orbit!r}")
+        for inc in incidences:
+            if not isinstance(inc, Incidence):
+                raise TypeError(f"not an Incidence: {inc!r}")
+            upper, lower, coefficient = inc
+            if isinstance(coefficient, bool) or not (
+                isinstance(upper, str) and isinstance(lower, str) and isinstance(coefficient, int)
+            ):
+                raise TypeError(
+                    f"Incidence fields must be (upper: str, lower: str, coefficient: int): {inc!r}"
+                )
         self._dimension = dimension
         self._orbits = tuple(sorted(orbits))
         self._incidences = tuple(sorted(incidences))

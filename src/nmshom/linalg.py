@@ -1,18 +1,21 @@
 """Exact integer matrices and Smith normal form.
 
-Everything here runs on Python's arbitrary-precision integers; no floating
-point is involved anywhere, so results are exact and reproducible.  One
-reduction core diagonalizes an integer matrix by unimodular row and column
-operations and serves two paths: :func:`smith_normal_form` records the
-operations and returns the unimodular witnesses u and v, while
-:func:`elementary_divisors` skips them and returns only the divisors, which
-is all that homology needs.  Every echelon sweep leaves each nonzero row
-leading at its own column with a positive pivot, so the core stops once no
-row holds two nonzeros, and the entries it isolates are positive.
-:func:`minors_gcd_oracle` provides an independent cross-check: the product of
-the first k diagonal entries of the Smith form equals the gcd of all k x k
-minors.  The oracle deliberately shares no code with the reduction; it
-enumerates minors and evaluates determinants by cofactor expansion.
+Everything here runs on Python's arbitrary-precision integers, so results
+are exact and reproducible.  One reduction core diagonalizes an integer
+matrix by unimodular row operations, on the matrix and on its transpose.
+It is written in three of them: ``_subtract`` (a multiple of one row from
+another), ``_balance`` (balanced reduction of an entry against its column's
+pivot) and ``_combine`` (the Bezout 2 x 2 combination of two rows).  Each
+mirrors itself onto the witness rows inside its own definition, and nowhere
+else.  The core serves two paths: :func:`smith_normal_form` seeds the
+witnesses with the identity and returns u and v, while
+:func:`elementary_divisors` passes empty witness rows and returns only the
+divisors, which is all that homology needs.  Every echelon sweep leaves each
+nonzero row leading at its own column with a positive pivot, so the core
+stops once no row holds two nonzeros, and the entries it isolates are
+positive.  :func:`minors_gcd_oracle` is an independent cross-check: the
+product of the first k diagonal entries equals the gcd of all k x k minors.
+It shares no code with the reduction and expands determinants by cofactors.
 """
 
 from __future__ import annotations
@@ -194,18 +197,7 @@ class SmithDecomposition:
         return len(self.divisors)
 
 
-def _swap_columns(rows: list[list[int]], a: int, b: int) -> None:
-    for row in rows:
-        row[a], row[b] = row[b], row[a]
-
-
-def _add_row_multiple(rows: list[list[int]], dst: int, src: int, factor: int) -> None:
-    # rows[dst] += factor * rows[src]
-    s = rows[src]
-    d = rows[dst]
-    for j, sj in enumerate(s):
-        if sj:
-            d[j] += factor * sj
+_Rows = list[list[int]]
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -231,34 +223,49 @@ def _balanced_quotient(e: int, d: int) -> int:
     return q
 
 
-def _echelon_pass(a: list[list[int]], w: list[list[int]], nrows: int, ncols: int) -> None:
-    """One row-echelon sweep over ``a`` by unimodular row operations.
+def _subtract(a: _Rows, w: _Rows, dst: int, src: int, q: int, c: int) -> None:
+    """Row ``dst`` -= ``q`` * row ``src``: in ``a`` from column ``c`` on, in ``w`` whole."""
+    row = a[dst]
+    row[c:] = [s - q * t for s, t in zip(row[c:], a[src][c:])]
+    w[dst] = [s - q * t for s, t in zip(w[dst], w[src])]
 
-    Every operation is mirrored onto the witness rows ``w``, so a caller that
-    seeds ``w`` with the identity accumulates the combined transform.  Rows
-    are folded in one at a time: an entry below an existing pivot is cleared
-    by exact division when the pivot divides it and by an extended-gcd row
-    combination otherwise, and the first nonzero that survives to a virgin
-    column claims it as a new pivot.  Off-pivot entries sharing a column with
-    a pivot are kept balanced-reduced against it; without that discipline
-    intermediate entries outgrow the final divisors by orders of magnitude.
-    Afterwards rows are permuted into pivot-column order, zero rows last.
+
+def _balance(a: _Rows, w: _Rows, dst: int, src: int, c: int) -> None:
+    """Balanced-reduce entry (dst, c) of ``a`` against the pivot (src, c)."""
+    q = _balanced_quotient(a[dst][c], a[src][c])
+    if q:
+        _subtract(a, w, dst, src, q, c)
+
+
+def _combine(a: _Rows, w: _Rows, r1: int, r2: int, d: int, e: int, c: int) -> tuple[int, int, int]:
+    """Rows (r1, r2) := (x*r1 + y*r2, (d*r2 - e*r1) / g), with (g, x, y) = _bezout(d, e).
+
+    In ``a`` from column ``c`` on, in ``w`` whole; entries (d, e) become (g, 0).
+    """
+    g, x, y = _bezout(d, e)
+    p, q = d // g, e // g
+    for rows, start in ((a, c), (w, 0)):
+        one, two = rows[r1][start:], rows[r2][start:]
+        rows[r1][start:] = [x * s + y * t for s, t in zip(one, two)]
+        rows[r2][start:] = [p * t - q * s for s, t in zip(one, two)]
+    return g, x, y
+
+
+def _echelon_pass(a: _Rows, w: _Rows, nrows: int, ncols: int) -> None:
+    """One row-echelon sweep over ``a`` by the three row operations.
+
+    :func:`_subtract`, :func:`_balance` and :func:`_combine` each mirror
+    themselves onto the witness rows ``w``, so a caller that seeds ``w`` with
+    the identity accumulates the combined transform.  Rows are folded in one
+    at a time: an entry below a pivot is cleared by exact division when the
+    pivot divides it and by a Bezout combination otherwise, and the first
+    nonzero that survives to a virgin column claims it as a new pivot.
+    Off-pivot entries are kept balanced-reduced against their column's
+    pivot; without that, intermediate entries outgrow the final divisors by
+    orders of magnitude.  Then rows go into pivot-column order, zero rows last.
     """
     piv_of_col: list[int | None] = [None] * ncols
     piv_cols: list[int] = []
-
-    def reduce_right_of(ri: int, c: int) -> None:
-        # balanced-reduce entries of row ri at pivot columns right of c
-        row = a[ri]
-        for c2 in piv_cols[bisect.bisect_right(piv_cols, c):]:
-            e2 = row[c2]
-            if e2:
-                r2 = piv_of_col[c2]
-                q2 = _balanced_quotient(e2, a[r2][c2])
-                if q2:
-                    pr2 = a[r2]
-                    row[c2:] = [s - q2 * t for s, t in zip(row[c2:], pr2[c2:])]
-                    w[ri] = [s - q2 * t for s, t in zip(w[ri], w[r2])]
 
     for k in range(nrows):
         row = a[k]
@@ -273,53 +280,35 @@ def _echelon_pass(a: list[list[int]], w: list[list[int]], nrows: int, ncols: int
                 continue
             if not e:
                 continue
-            pr = a[ri]
-            d = pr[c]
+            d = a[ri][c]
             if e % d == 0:
-                q = e // d
-                row[c:] = [s - q * t for s, t in zip(row[c:], pr[c:])]
-                w[k] = [s - q * t for s, t in zip(w[k], w[ri])]
+                _subtract(a, w, k, ri, e // d, c)
             else:
-                g, x, y = _bezout(d, e)
-                p, q = d // g, e // g
-                pr_tail = pr[c:]
-                row_tail = row[c:]
-                pr[c:] = [x * s + y * t for s, t in zip(pr_tail, row_tail)]
-                row[c:] = [p * t - q * s for s, t in zip(pr_tail, row_tail)]
-                wr, wk = w[ri], w[k]
-                w[ri] = [x * s + y * t for s, t in zip(wr, wk)]
-                w[k] = [p * t - q * s for s, t in zip(wr, wk)]
-                reduce_right_of(ri, c)
+                _combine(a, w, ri, k, d, e, c)
+                for c2 in piv_cols[bisect.bisect_right(piv_cols, c) :]:
+                    if a[ri][c2]:
+                        _balance(a, w, ri, piv_of_col[c2], c2)
         if lead is None:
             continue
         if row[lead] < 0:
-            row[lead:] = [-s for s in row[lead:]]
-            w[k] = [-s for s in w[k]]
+            _subtract(a, w, k, k, 2, lead)  # negate: row - 2 * row
         piv_of_col[lead] = k
         bisect.insort(piv_cols, lead)
-        reduce_right_of(k, lead)
+        for c2 in piv_cols[bisect.bisect_right(piv_cols, lead) :]:
+            if row[c2]:
+                _balance(a, w, k, piv_of_col[c2], c2)
         # bring entries of earlier pivot rows above the new pivot into range
-        d = row[lead]
         for c2 in piv_cols[: bisect.bisect_left(piv_cols, lead)]:
-            r2 = piv_of_col[c2]
-            e2 = a[r2][lead]
-            if e2:
-                q2 = _balanced_quotient(e2, d)
-                if q2:
-                    pr2 = a[r2]
-                    pr2[lead:] = [s - q2 * t for s, t in zip(pr2[lead:], row[lead:])]
-                    w[r2] = [s - q2 * t for s, t in zip(w[r2], w[k])]
+            if a[piv_of_col[c2]][lead]:
+                _balance(a, w, piv_of_col[c2], k, lead)
 
-    pivot_rows = [piv_of_col[c] for c in piv_cols]
-    settled = set(pivot_rows)
-    order = pivot_rows + [i for i in range(nrows) if i not in settled]
+    order = [piv_of_col[c] for c in piv_cols]
+    order += sorted(set(range(nrows)).difference(order))
     a[:] = [a[i] for i in order]
     w[:] = [w[i] for i in order]
 
 
-def _isolate_nonzeros(
-    a: list[list[int]], u: list[list[int]], vt: list[list[int]]
-) -> list[list[int]]:
+def _isolate_nonzeros(a: _Rows, u: _Rows, vt: _Rows) -> _Rows:
     """Reduce ``a`` until no row and no column holds two nonzeros; return it.
 
     ``u`` holds one witness row per row of ``a`` and ``vt`` one per column:
@@ -333,13 +322,12 @@ def _isolate_nonzeros(
     nonzeros has isolated them by columns too, and every nonzero returned
     is positive.
     """
-    nrows, ncols = len(u), len(vt)
     # Column operations act as row operations on the transpose, so the two
     # orientations share one routine.  Alternating passes strictly shrink
     # the pivots they touch, hence the loop reaches a state where every
     # nonzero is alone in its row and column.
-    for w, rows, cols in itertools.cycle(((u, nrows, ncols), (vt, ncols, nrows))):
-        _echelon_pass(a, w, rows, cols)
+    for w, other in itertools.cycle(((u, vt), (vt, u))):
+        _echelon_pass(a, w, len(w), len(other))
         if all(len(row) - row.count(0) < 2 for row in a):
             return a if w is u else [list(col) for col in zip(*a)]
         a = [list(col) for col in zip(*a)]
@@ -350,13 +338,11 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
 
     The diagonal of ``s`` is nonnegative and each entry divides the next;
     trailing entries are zero.  The reduction alternates row and column
-    echelon sweeps built from exact-division and extended-gcd steps, keeping
-    off-pivot entries balanced-reduced against their pivots so intermediate
-    values stay near the size of the final divisors.  This is the witness
-    path: every operation is recorded in ``u`` and ``v``.  When only the
-    divisors are wanted, :func:`elementary_divisors` runs the same sweeps
-    without them.  Every step follows a fixed rule, so the run is fully
-    deterministic.
+    echelon sweeps of exact-division, balancing and Bezout steps, which keep
+    intermediate values near the size of the final divisors.  This is the
+    witness path: every operation is recorded in ``u`` and ``v``, and
+    :func:`elementary_divisors` runs the same sweeps without them.  Every
+    step follows a fixed rule, so the run is fully deterministic.
 
     >>> dec = smith_normal_form(IntegerMatrix.from_rows([[6, 0], [-10, 10], [0, -15]]))
     >>> dec.divisors
@@ -370,17 +356,15 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     a = _isolate_nonzeros(m.to_rows(), u, vt)
 
     # Gather the isolated entries onto the leading diagonal.
-    limit = min(nrows, ncols)
-    for t in range(limit):
-        src = next((i for i in range(t, nrows) if any(a[i])), None)
-        if src is None:
-            break
-        if src != t:
-            a[t], a[src] = a[src], a[t]
-            u[t], u[src] = u[src], u[t]
+    rank = sum(1 for row in a if any(row))
+    for t in range(rank):
+        src = next(i for i in range(t, nrows) if any(a[i]))
+        a[t], a[src] = a[src], a[t]
+        u[t], u[src] = u[src], u[t]
         j = next(idx for idx, e in enumerate(a[t]) if e)
         if j != t:
-            _swap_columns(a, t, j)
+            for row in a:
+                row[t], row[j] = row[j], row[t]
             vt[t], vt[j] = vt[j], vt[t]
 
     # Repair divisibility between adjacent diagonal entries with gcd/lcm
@@ -388,8 +372,9 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     # earlier entry, so this terminates.  A repair adds row j to row i, mixes
     # columns i and j by the Bezout coefficients, and clears entry (j, i)
     # with row i.  Rows and columns i and j are zero off the diagonal, so of
-    # ``a`` only the diagonal pair changes, to the gcd and the lcm (both > 0).
-    rank = sum(1 for t in range(limit) if a[t][t])
+    # ``a`` only the diagonal pair changes, to the gcd and the lcm (both > 0);
+    # it is set directly, so the row operations get empty matrix rows.
+    bare: _Rows = [[] for _ in range(rank)]
     changed = True
     while changed:
         changed = False
@@ -398,22 +383,17 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
             di, dj = a[i][i], a[j][j]
             if dj % di == 0:
                 continue
-            g, x, y = _bezout(di, dj)
-            p, q = di // g, dj // g
-            a[i][i], a[j][j] = g, p * dj
-            _add_row_multiple(u, i, j, 1)
-            vi, vj = vt[i], vt[j]
-            vt[i] = [x * s + y * t2 for s, t2 in zip(vi, vj)]
-            vt[j] = [p * t2 - q * s for s, t2 in zip(vi, vj)]
-            _add_row_multiple(u, j, i, -y * q)
+            _subtract(bare, u, i, j, -1, 0)
+            g, _, y = _combine(bare, vt, i, j, di, dj, 0)
+            _subtract(bare, u, j, i, y * (dj // g), 0)
+            a[i][i], a[j][j] = g, di // g * dj
             changed = True
 
-    divisors = tuple(a[i][i] for i in range(limit) if a[i][i])
-    v_rows = [list(col) for col in zip(*vt)] if vt else []
+    divisors = tuple(a[i][i] for i in range(rank))
     return SmithDecomposition(
         s=IntegerMatrix.from_rows(a, cols=ncols),
         u=IntegerMatrix.from_rows(u, cols=nrows),
-        v=IntegerMatrix.from_rows(v_rows, cols=ncols),
+        v=IntegerMatrix.from_rows(zip(*vt), cols=ncols),
         divisors=divisors,
     )
 
@@ -433,6 +413,8 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     >>> elementary_divisors(IntegerMatrix.zeros(3, 2))
     []
     """
+    if not (m.rows and m.cols):
+        return []
     a = _isolate_nonzeros(m.to_rows(), [[] for _ in range(m.rows)], [[] for _ in range(m.cols)])
     return _divisor_chain(e for row in a for e in row if e)
 

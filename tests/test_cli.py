@@ -15,6 +15,7 @@ from nmshom import (
     matrix_multiply,
     parse_matrix,
 )
+from nmshom import linalg
 from nmshom.cli import (
     cmd_homology,
     cmd_seifert_emit,
@@ -204,6 +205,22 @@ class TestSnfCommand:
     def test_malformed_matrix_exit_two(self, tmp_path):
         result = cmd_snf(_write(tmp_path, "m.txt", "rows 1 cols 1\nx\n"))
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("header", ["rows 100000 cols 0", "rows 0 cols 100000"])
+    def test_entry_less_matrix_reduces_nothing(self, tmp_path, monkeypatch, header):
+        # no entries, no divisors: the answer comes before any per-row allocation
+        calls = []
+
+        def counting(a, u, vt):
+            calls.append((len(u), len(vt)))
+            return isolate(a, u, vt)
+
+        isolate = linalg._isolate_nonzeros
+        monkeypatch.setattr(linalg, "_isolate_nonzeros", counting)
+        result = cmd_snf(_write(tmp_path, "m.txt", header + "\n"))
+        assert (result.exit_code, result.machine_lines) == (0, ("snf",))
+        assert result.human_text == "elementary divisors: (none)"
+        assert calls == []
 
 
 class TestSeifertCommands:

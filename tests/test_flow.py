@@ -145,6 +145,35 @@ class TestConstruction:
         with pytest.raises(TypeError, match="^not an Incidence: Orbit"):
             FlowComplex(2, [], [Incidence("b", "a", 1), Orbit("a", 0)])
 
+    @pytest.mark.parametrize(
+        "culprit",
+        [
+            Orbit("a", "0"),
+            Orbit(7, 1),
+            Orbit("a", True),
+            Incidence("b", "a", 1.5),
+            Incidence("b", 0, 1),
+            Incidence("b", "a", False),
+        ],
+        ids=["str-index", "int-id", "bool-index", "float-coef", "int-lower", "bool-coef"],
+    )
+    def test_field_types_are_checked_before_sorting(self, culprit):
+        # A wrongly typed field would make the sort or validate() raise, or
+        # homology() fail much later; the constructor names the record instead.
+        orbits = [Orbit("b", 1), Orbit("a", 0)]
+        incidences = [Incidence("b", "a", 1)]
+        if isinstance(culprit, Orbit):
+            orbits.append(culprit)
+        else:
+            incidences.append(culprit)
+        fields = {
+            Orbit: "Orbit fields must be (id: str, index: int)",
+            Incidence: "Incidence fields must be (upper: str, lower: str, coefficient: int)",
+        }[type(culprit)]
+        with pytest.raises(TypeError) as err:
+            FlowComplex(2, orbits, incidences)
+        assert str(err.value) == f"{fields}: {culprit!r}"
+
 
 class TestRecords:
     def test_fields_are_read_only(self):

@@ -1,5 +1,6 @@
 """Exact linear algebra: matrices, Smith normal form, oracle, text format."""
 
+import hashlib
 import random
 import sys
 import time
@@ -22,6 +23,8 @@ from nmshom.linalg import _cofactor_determinant, _isolate_nonzeros
 from nmshom.validation import _format_int
 
 from randgen import random_matrix, random_unimodular
+
+WITNESS_DIGEST = "cc2d747fb7b033aa410c1b4a7e88a201f86f6c7dd298f4fb8a0eea5a55d4b904"
 
 
 class TestIntegerMatrix:
@@ -200,6 +203,25 @@ class TestSmithNormalForm:
                 second.v,
                 second.divisors,
             )
+
+    def test_witness_bytes_are_pinned(self):
+        # u, s and v are printed by ``snf --witness``, so the order of the
+        # core's row operations is part of the output: a reordering that
+        # changes any witness changes this digest.
+        rng = random.Random(211)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+            bound = rng.choice((3, 40, 1000, 10**6))
+            density = rng.choice((0.3, 0.7, 1.0))
+            flat = [
+                rng.randint(-bound, bound) if rng.random() < density else 0
+                for _ in range(rows * cols)
+            ]
+            dec = smith_normal_form(IntegerMatrix(rows, cols, flat))
+            text = format_matrix(dec.u) + format_matrix(dec.s) + format_matrix(dec.v)
+            digest.update(text.encode())
+        assert digest.hexdigest() == WITNESS_DIGEST
 
     def test_transpose_invariance(self):
         rng = random.Random(107)
