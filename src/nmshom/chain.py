@@ -18,7 +18,7 @@ elementary divisors of d_{k+1} that exceed 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import IntegerMatrix, elementary_divisors
 from .validation import ValidationError, ValidationReport, Violation, _format_int
@@ -26,28 +26,41 @@ from .validation import ValidationError, ValidationReport, Violation, _format_in
 __all__ = ["HomologyGroup", "ChainComplex"]
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
-    """Finitely generated abelian group Z^betti + Z/d1 + ... in one degree.
-
-    Torsion orders are listed ascending and each divides the next, the shape
-    Smith normal form produces.
-    """
-
+class _Group(NamedTuple):
     degree: int
     betti: int
     torsion: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.betti < 0:
-            raise ValueError(f"negative betti number {self.betti}")
-        previous = None
-        for d in self.torsion:
+
+class HomologyGroup(_Group):
+    """Finitely generated abelian group Z^betti + Z/d1 + ... in one degree.
+
+    Torsion orders are listed ascending and each divides the next, the shape
+    Smith normal form produces.  The degree, the betti number and each order
+    are ``int`` and not ``bool``; the torsion is stored as a tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int, betti: int, torsion: tuple[int, ...] = ()):
+        torsion = tuple(torsion)
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in (degree, betti, *torsion)):
+            raise TypeError(
+                "HomologyGroup fields must be (degree: int, betti: int, torsion: ints): "
+                f"{(degree, betti, torsion)!r}"
+            )
+        if betti < 0:
+            raise ValueError(f"negative betti number {betti}")
+        for previous, d in zip((1, *torsion), torsion):
             if d <= 1:
                 raise ValueError(f"torsion order {d} must exceed 1")
-            if previous is not None and d % previous:
-                raise ValueError(f"torsion orders must form a divisibility chain, got {self.torsion}")
-            previous = d
+            if d % previous:
+                raise ValueError(f"torsion orders must form a divisibility chain, got {torsion}")
+        return super().__new__(cls, degree, betti, torsion)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make; check there too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         parts = []
@@ -77,7 +90,9 @@ class ChainComplex:
     __slots__ = ("_ranks", "_columns", "_labels", "_square_report")
 
     def __init__(self, ranks, boundaries, generator_labels=None):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = tuple(ranks)
+        if any(isinstance(r, bool) or not isinstance(r, int) for r in ranks):
+            raise TypeError(f"ChainComplex ranks must be ints, got {ranks!r}")
         if not ranks:
             raise ValueError("a chain complex needs at least degree 0")
         if any(r < 0 for r in ranks):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chain import HomologyGroup
 from .flow import parse_flow_complex
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     """Outcome of one subcommand, independent of stream handling.
 
     ``machine_lines`` are the porcelain records (None when the command's

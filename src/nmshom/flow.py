@@ -24,9 +24,8 @@ Orbit ids are words over [A-Za-z0-9_].  ``incidence U L c`` records the net
 coefficient c of lower orbit L in the boundary of upper orbit U; pairs not
 listed have coefficient 0.
 
-The records :class:`Orbit` and :class:`Incidence` are named tuples, so they
-order, compare and hash as tuples: ``Orbit("a", 0) == ("a", 0)``.
-:class:`FlowComplex` takes only these two types.
+:class:`FlowComplex` takes only the records :class:`Orbit` and
+:class:`Incidence`, which are named tuples like every nmshom value record.
 """
 
 from __future__ import annotations

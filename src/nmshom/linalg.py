@@ -25,7 +25,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .validation import ParseError, _format_int, _parse_int, _significant_lines
 
@@ -178,8 +178,7 @@ def matrix_multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix(a.rows, b.cols, flat)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """Result of :func:`smith_normal_form`: ``s == u @ m @ v``.
 
     ``s`` is diagonal with nonnegative entries forming a divisibility chain,

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .chain import HomologyGroup
 from .flow import FlowComplex, Incidence, Orbit
@@ -36,22 +35,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeifertInvariant:
-    """Unnormalized invariants (genus; beta_1/alpha_1, ..., beta_m/alpha_m).
-
-    Pairs are stored as (alpha, beta) tuples.  Construction only coerces
-    types; semantic requirements (m >= 1, alpha_i >= 1, coprimality,
-    nonnegative genus) are reported by :meth:`validate`.
-    """
-
+class _Invariant(NamedTuple):
     genus: int
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "genus", int(self.genus))
-        normalized_pairs = tuple((int(a), int(b)) for a, b in self.pairs)
-        object.__setattr__(self, "pairs", normalized_pairs)
+
+class SeifertInvariant(_Invariant):
+    """Unnormalized invariants (genus; beta_1/alpha_1, ..., beta_m/alpha_m).
+
+    Pairs are stored as a tuple of (alpha, beta) tuples.  Construction checks
+    types and does not coerce them: the genus and every alpha and beta must be
+    an ``int`` and not a ``bool``.  Semantic requirements (m >= 1,
+    alpha_i >= 1, coprimality, nonnegative genus) are reported by
+    :meth:`validate`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, genus: int, pairs: tuple[tuple[int, int], ...]):
+        pairs = tuple((alpha, beta) for alpha, beta in pairs)
+        values = (genus, *(n for pair in pairs for n in pair))
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in values):
+            raise TypeError(
+                "SeifertInvariant fields must be (genus: int, "
+                f"pairs: ((alpha: int, beta: int), ...)): {(genus, pairs)!r}"
+            )
+        return super().__new__(cls, genus, pairs)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make; check there too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return format_invariant(self)
@@ -138,16 +151,14 @@ class SeifertInvariant:
         """Canonical representative of the equivalence class.
 
         Pairs with alpha > 1 are reduced to 0 <= beta < alpha and sorted;
-        one trailing pair with alpha = 1 absorbs the remaining integer part
-        so that the total sum of beta/alpha is preserved exactly.
+        one trailing pair with alpha = 1 absorbs what that drops, the sum of
+        beta // alpha (beta/alpha = (beta mod alpha)/alpha + beta // alpha),
+        so the total sum of beta/alpha is preserved exactly.
         """
         self._require_valid()
         reduced = sorted((alpha, beta % alpha) for alpha, beta in self.pairs if alpha > 1)
-        total = sum((Fraction(beta, alpha) for alpha, beta in self.pairs), Fraction(0))
-        kept = sum((Fraction(beta, alpha) for alpha, beta in reduced), Fraction(0))
-        excess = total - kept
-        assert excess.denominator == 1
-        return SeifertInvariant(self.genus, (*reduced, (1, int(excess))))
+        excess = sum(beta // alpha for alpha, beta in self.pairs)
+        return SeifertInvariant(self.genus, (*reduced, (1, excess)))
 
 
 def boundary_matrix(invariant: SeifertInvariant) -> IntegerMatrix:
@@ -171,8 +182,9 @@ def seifert_equivalent(first: SeifertInvariant, second: SeifertInvariant) -> boo
 
     True exactly when the genera agree and the pairs with alpha > 1 can be
     matched up so that matched alphas are equal, matched betas agree modulo
-    alpha, and the exact rational sums of beta/alpha coincide.  Both
-    arguments must be valid.
+    alpha, and the exact rational sums of beta/alpha coincide, compared as
+    integers after scaling both by the lcm L of all alphas: sum of
+    beta * (L / alpha).  Both arguments must be valid.
     """
     first._require_valid()
     second._require_valid()
@@ -187,8 +199,10 @@ def seifert_equivalent(first: SeifertInvariant, second: SeifertInvariant) -> boo
     if residues(first) != residues(second):
         return False
 
-    def total(invariant: SeifertInvariant) -> Fraction:
-        return sum((Fraction(beta, alpha) for alpha, beta in invariant.pairs), Fraction(0))
+    lcm = math.lcm(*(alpha for invariant in (first, second) for alpha, _ in invariant.pairs))
+
+    def total(invariant: SeifertInvariant) -> int:
+        return sum(beta * (lcm // alpha) for alpha, beta in invariant.pairs)
 
     return total(first) == total(second)
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One validation finding.
 
     ``code`` is a stable kebab-case identifier, ``message`` a human sentence,
@@ -28,8 +27,7 @@ class Violation:
     subjects: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property
@@ -40,7 +38,7 @@ class ValidationReport:
         """Itemized human-readable rendering, one line per violation."""
         return "\n".join(f"- [{v.code}] {v.message}" for v in self.violations)
 
-    def __bool__(self) -> bool:
+    def __bool__(self) -> bool:  # a 1-tuple is always true; a report is true when ok
         return self.ok
 
 

@@ -44,6 +44,24 @@ class TestHomologyGroup:
         with pytest.raises(ValueError):
             HomologyGroup(0, 0, (4, 6))
 
+    @pytest.mark.parametrize(
+        "fields", [(0, 1.5), (0, True), (0.0, 1), (0, 1, (2.0,)), (0, 1, (True,))]
+    )
+    def test_field_types_are_checked(self, fields):
+        with pytest.raises(TypeError, match="^HomologyGroup fields must be"):
+            HomologyGroup(*fields)
+
+    def test_replace_checks_too(self):
+        with pytest.raises(ValueError):
+            HomologyGroup(0, 1)._replace(betti=-1)
+        with pytest.raises(TypeError):
+            HomologyGroup._make((0, True, ()))
+        assert HomologyGroup(0, 1)._replace(torsion=[2]) == HomologyGroup(0, 1, (2,))
+
+    def test_torsion_is_stored_as_a_tuple(self):
+        assert HomologyGroup(0, 1, [2, 4]) == HomologyGroup(0, 1, (2, 4))
+        assert HomologyGroup(0, 1, [2, 4]).torsion == (2, 4)
+
 
 class TestConstruction:
     def test_boundary_count_must_match_degrees(self):
@@ -53,18 +71,27 @@ class TestConstruction:
     def test_boundary_shape_checked(self):
         with pytest.raises(ValueError):
             ChainComplex((1, 2), (IntegerMatrix.zeros(2, 2),))
+        with pytest.raises(TypeError, match="degree 1 is not an IntegerMatrix"):
+            ChainComplex((1, 1), ([[0]],))
 
     def test_labels_checked(self):
         with pytest.raises(ValueError):
             ChainComplex((2,), (), generator_labels=[["a"]])
         with pytest.raises(ValueError):
             ChainComplex((2,), (), generator_labels=[["a", "a"]])
+        with pytest.raises(ValueError, match="one label list per degree"):
+            ChainComplex((1,), (), generator_labels=[["a"], ["b"]])
 
     def test_ranks_nonnegative_and_nonempty(self):
         with pytest.raises(ValueError):
             ChainComplex((), ())
         with pytest.raises(ValueError):
             ChainComplex((-1,), ())
+
+    @pytest.mark.parametrize("ranks", [(1.7, 0), (1, True), ("1", 0)])
+    def test_ranks_must_be_ints(self, ranks):
+        with pytest.raises(TypeError, match="^ChainComplex ranks must be ints"):
+            ChainComplex(ranks, [IntegerMatrix.zeros(1, 0)])
 
     def test_end_boundaries_are_zero_maps(self):
         c = _complex((2, 1), [[[0], [0]]])

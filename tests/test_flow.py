@@ -67,6 +67,11 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_flow_complex("format nmsflow 1\ndim 3\ndim 3\n")
 
+    def test_malformed_dim(self):
+        with pytest.raises(ParseError) as err:
+            parse_flow_complex("format nmsflow 1\ndim 3 4\n")
+        assert err.value.reason == "malformed dim directive 'dim 3 4'"
+
     def test_dimension_too_small(self):
         with pytest.raises(ParseError):
             parse_flow_complex("format nmsflow 1\ndim 1\n")
@@ -420,7 +425,9 @@ class TestChainConversion:
 class TestSerialization:
     def test_round_trip_minimal(self):
         fc = parse_flow_complex(MINIMAL)
-        assert parse_flow_complex(fc.serialize()) == fc
+        again = parse_flow_complex(fc.serialize())
+        assert again == fc and hash(again) == hash(fc)
+        assert fc != MINIMAL and fc.__eq__(MINIMAL) is NotImplemented
 
     def test_round_trip_random(self):
         rng = random.Random(313)

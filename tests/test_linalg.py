@@ -55,6 +55,8 @@ class TestIntegerMatrix:
     def test_from_rows_requires_equal_lengths(self):
         with pytest.raises(ValueError):
             IntegerMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(ValueError, match="rows have 2 entries but cols=3 was given"):
+            IntegerMatrix.from_rows([[1, 2], [3, 4]], cols=3)
 
     def test_out_of_range_access(self):
         m = IntegerMatrix.identity(2)
@@ -62,6 +64,8 @@ class TestIntegerMatrix:
             m[2, 0]
         with pytest.raises(IndexError):
             m.row(-1)
+        with pytest.raises(IndexError):
+            m.column(2)
 
     def test_transpose_involution(self):
         rng = random.Random(7)
@@ -351,8 +355,13 @@ class TestDeterminant:
         assert is_unimodular(IntegerMatrix.identity(3))
         assert is_unimodular(IntegerMatrix.from_rows([[1, 5], [0, -1]]))
         assert not is_unimodular(IntegerMatrix.from_rows([[2, 0], [0, 1]]))
+        singular = IntegerMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
+        assert integer_determinant(singular) == 0  # no pivot in the first column
+        assert not is_unimodular(singular)
         with pytest.raises(ValueError):
             is_unimodular(IntegerMatrix.zeros(2, 3))
+        with pytest.raises(ValueError, match="square"):
+            integer_determinant(IntegerMatrix.zeros(2, 3))
 
 
 class TestMatrixText:

@@ -72,6 +72,28 @@ class TestInvariantText:
     def test_str_is_compact_form(self):
         assert str(SeifertInvariant(1, ((2, 1),))) == "1;1/2"
 
+    @pytest.mark.parametrize(
+        "genus, pairs",
+        [
+            (0, ((2.9, 1), ("3", 1.5))),
+            (0, ((2, 1.0),)),
+            (0.0, ((2, 1),)),
+            (True, ((2, 1),)),
+            (0, ((2, False),)),
+        ],
+    )
+    def test_field_types_are_checked_not_coerced(self, genus, pairs):
+        with pytest.raises(TypeError, match="^SeifertInvariant fields must be"):
+            SeifertInvariant(genus, pairs)
+
+    def test_pairs_are_stored_as_tuples(self):
+        inv = SeifertInvariant(0, [[2, 1], [3, -1]])
+        assert inv.pairs == ((2, 1), (3, -1))
+        assert inv == SeifertInvariant(0, ((2, 1), (3, -1)))
+        assert inv._replace(pairs=[[5, 2]]).pairs == ((5, 2),)
+        with pytest.raises(TypeError, match="^SeifertInvariant fields must be"):
+            inv._replace(genus=1.5)
+
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):
             parse_invariant("1/2,1/3")

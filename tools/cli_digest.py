@@ -8,8 +8,11 @@ SRC is the ``src`` directory to import nmshom from.  The inputs are the
 benchmark's three workload pools (``perfbench/gen.py`` with the sizes in
 ``perfbench/run.py``'s ``WORKLOADS``) for seeds 101 and 7, each run in
 porcelain and in human mode, plus 300 seeded small matrices run through
-``snf --witness`` in both modes.  Every call goes in-process through
-``nmshom.cli.main`` and prints one line::
+``snf --witness`` in both modes.  The Seifert commands (``homology
+--seifert``, ``seifert normalize``, ``seifert emit`` and ``seifert equiv``)
+run over the invariants of the seifert-torsion pools, an equivalent and an
+inequivalent partner of each, and a few invalid lists; they read no file.
+Every call goes in-process through ``nmshom.cli.main`` and prints one line::
 
     workload seed id mode exit sha256(stdout) sha256(stderr)
 
@@ -33,6 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".cli-digest"
 SEEDS = (101, 7)
 SMALL_MATRICES = 300
+# alpha 0, a non-coprime pair, negative genus, no pairs
+INVALID_INVARIANTS = ("0;1/0,1/2", "0;2/4,1/3", "-1;1/2,1/3", "0;")
 
 
 def _sha(text: str) -> str:
@@ -64,20 +69,64 @@ def _small_matrix_text(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _partners(rng: random.Random, invariants: str) -> tuple[str, str]:
+    """An equivalent and an inequivalent invariant list for ``invariants``.
+
+    Both shift one beta by k * alpha.  The equivalent one compensates with a
+    ``-k/1`` pair and reorders the pairs; the inequivalent one does neither,
+    so its sum of beta/alpha differs by k while every residue is kept.
+    """
+    genus, _, body = invariants.partition(";")
+    pairs = [tuple(map(int, chunk.split("/"))) for chunk in body.split(",")]
+    i, k = rng.randrange(len(pairs)), rng.choice((-3, -2, -1, 1, 2, 3))
+    shifted = list(pairs)
+    shifted[i] = (pairs[i][0] + k * pairs[i][1], pairs[i][1])
+    equivalent = [*shifted, (-k, 1)]
+    rng.shuffle(equivalent)
+
+    def text(pairs) -> str:
+        return f"{genus};" + ",".join(f"{beta}/{alpha}" for beta, alpha in pairs)
+
+    return text(equivalent), text(shifted)
+
+
+def _seifert_calls(label: str, invariants: str, equivalent: str, inequivalent: str):
+    """Yield (id, porcelain argv) for the four Seifert commands.
+
+    ``--`` ends the options, so a list may start with '-'.
+    """
+    yield f"{label}-homology", ["--porcelain", "homology", f"--seifert={invariants}"]
+    yield f"{label}-emit", ["--porcelain", "seifert", "emit", "--", invariants]
+    for name, text in (("", invariants), ("-partner", equivalent)):
+        yield f"{label}-normalize{name}", ["--porcelain", "seifert", "normalize", "--", text]
+    for name, text in (("same", equivalent), ("other", inequivalent)):
+        yield f"{label}-equiv-{name}", ["--porcelain", "seifert", "equiv", "--", invariants, text]
+
+
 def _inputs():
-    """Yield (workload, seed, id, porcelain argv with ``{path}``, file text)."""
+    """Yield (workload, seed, id, porcelain argv, file text for ``{path}`` or None)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import gen
     import run
 
+    fibrations = []  # (seed, id, invariants) of the seifert-torsion pools
     for name, params in run.WORKLOADS.items():
         for seed in SEEDS:
             for case in gen.make_pool(name, seed, params["pool"], params["lo"], params["hi"]):
                 yield name, seed, case.id, case.argv, case.text
+                if case.seifert is not None:
+                    fibrations.append((seed, case.id, case.seifert))
     rng = random.Random("cli-digest")
     argv = ["--porcelain", "snf", "--witness", "{path}"]
     for i in range(SMALL_MATRICES):
         yield "snf-small", 0, i, argv, _small_matrix_text(rng)
+    for seed, case_id, invariants in fibrations:
+        equivalent, inequivalent = _partners(rng, invariants)
+        for call_id, call_argv in _seifert_calls(case_id, invariants, equivalent, inequivalent):
+            yield "seifert-commands", seed, call_id, call_argv, None
+    for i, invariants in enumerate(INVALID_INVARIANTS):
+        for call_id, call_argv in _seifert_calls(f"invalid{i}", invariants, "0;1/2", "0;1/3"):
+            yield "seifert-commands", 0, call_id, call_argv, None
 
 
 def main(argv: list[str]) -> int:
@@ -97,9 +146,10 @@ def main(argv: list[str]) -> int:
     shutil.rmtree(WORK, ignore_errors=True)
     WORK.mkdir()
     for workload, seed, case_id, porcelain_argv, text in _inputs():
-        path = WORK / f"{workload}-{seed}-{case_id}.txt"
-        path.write_text(text, encoding="utf-8")
-        porcelain_argv = [str(path) if a == "{path}" else a for a in porcelain_argv]
+        if text is not None:
+            path = WORK / f"{workload}-{seed}-{case_id}.txt"
+            path.write_text(text, encoding="utf-8")
+            porcelain_argv = [str(path) if a == "{path}" else a for a in porcelain_argv]
         human_argv = [a for a in porcelain_argv if a != "--porcelain"]
         for mode, call_argv in (("porcelain", porcelain_argv), ("human", human_argv)):
             code, out, err = _call(cli.main, call_argv)
