@@ -3,24 +3,30 @@
 Everything here runs on Python's arbitrary-precision integers, so results
 are exact and reproducible.  One reduction core diagonalizes an integer
 matrix by unimodular row operations, on the matrix and on its transpose.
-It is written in three of them: ``_subtract`` (a multiple of one row from
-another), ``_balance`` (balanced reduction of an entry against its column's
-pivot) and ``_combine`` (the Bezout 2 x 2 combination of two rows).  Each
-mirrors itself onto the witness rows inside its own definition, and nowhere
-else.  The core serves two paths: :func:`smith_normal_form` seeds the
-witnesses with the identity and returns u and v, while
-:func:`elementary_divisors` passes empty witness rows and returns only the
-divisors, which is all that homology needs.  Every echelon sweep leaves each
-nonzero row leading at its own column with a positive pivot, so the core
-stops once no row holds two nonzeros, and the entries it isolates are
-positive.  :func:`minors_gcd_oracle` is an independent cross-check: the
-product of the first k diagonal entries equals the gcd of all k x k minors.
-It shares no code with the reduction and expands determinants by cofactors.
+It works on sparse rows, each a dict from column to nonzero entry, after
+Dumas, Saunders and Villard ("On efficient sparse integer matrix Smith
+normal form computations", J. Symb. Comput. 32, 2001) and Kaczynski,
+Mischaikow and Mrozek (*Computational Homology*, 2004): an operation costs
+the nonzeros of the rows it reads, and no row ever stores a zero.  The core
+is written in three row operations: ``_subtract`` (a multiple of one row
+from another), ``_balance`` (balanced reduction of an entry against its
+column's pivot) and ``_combine`` (the Bezout 2 x 2 combination of two
+rows).  Each mirrors itself onto the witness rows, kept in the same sparse
+storage, inside its own definition, and nowhere else.  The core serves two
+paths: :func:`smith_normal_form` seeds the witnesses with the identity and
+returns u and v, while :func:`elementary_divisors` passes empty witness
+rows and returns only the divisors, which is all that homology needs.
+Every echelon sweep leaves each nonzero row leading at its own column with
+a positive pivot, so the core stops once no row holds two nonzeros, and the
+entries it isolates are positive.  :func:`minors_gcd_oracle` is an
+independent cross-check: the product of the first k diagonal entries
+equals the gcd of all k x k minors.  It shares no code with the reduction
+and expands determinants by cofactors.
 """
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import itertools
 import math
 import operator
@@ -196,7 +202,8 @@ class SmithDecomposition(NamedTuple):
         return len(self.divisors)
 
 
-_Rows = list[list[int]]
+_Row = dict[int, int]
+_Rows = list[_Row]
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -222,36 +229,89 @@ def _balanced_quotient(e: int, d: int) -> int:
     return q
 
 
-def _subtract(a: _Rows, w: _Rows, dst: int, src: int, q: int, c: int) -> None:
-    """Row ``dst`` -= ``q`` * row ``src``: in ``a`` from column ``c`` on, in ``w`` whole."""
-    row = a[dst]
-    row[c:] = [s - q * t for s, t in zip(row[c:], a[src][c:])]
-    w[dst] = [s - q * t for s, t in zip(w[dst], w[src])]
+def _subtract_row(dst: _Row, src: _Row, q: int) -> list[int]:
+    """``dst`` -= ``q`` * ``src`` in place, for nonzero ``q``; return the columns ``dst`` gains.
+
+    ``dst`` may be ``src`` itself.  An entry that cancels is deleted, so no
+    row ever stores a zero.
+    """
+    added = []
+    for c, t in src.items():
+        if c in dst:
+            s = dst[c] - q * t
+            if s:
+                dst[c] = s
+            else:
+                del dst[c]
+        else:
+            dst[c] = -q * t
+            added.append(c)
+    return added
 
 
-def _balance(a: _Rows, w: _Rows, dst: int, src: int, c: int) -> None:
+def _combine_rows(one: _Row, two: _Row, x: int, y: int, p: int, q: int) -> tuple[_Row, _Row]:
+    """The rows (x*one + y*two, p*two - q*one), without zero entries."""
+    first, second = {}, {}
+    for c in one.keys() | two.keys():
+        s, t = one.get(c, 0), two.get(c, 0)
+        if v := x * s + y * t:
+            first[c] = v
+        if v := p * t - q * s:
+            second[c] = v
+    return first, second
+
+
+def _subtract(a: _Rows, w: _Rows, dst: int, src: int, q: int) -> list[int]:
+    """Row ``dst`` -= ``q`` * row ``src`` in ``a`` and ``w``; return what ``a[dst]`` gains."""
+    _subtract_row(w[dst], w[src], q)
+    return _subtract_row(a[dst], a[src], q)
+
+
+def _balance(a: _Rows, w: _Rows, dst: int, src: int, c: int) -> list[int]:
     """Balanced-reduce entry (dst, c) of ``a`` against the pivot (src, c)."""
     q = _balanced_quotient(a[dst][c], a[src][c])
-    if q:
-        _subtract(a, w, dst, src, q, c)
+    return _subtract(a, w, dst, src, q) if q else []
 
 
-def _combine(a: _Rows, w: _Rows, r1: int, r2: int, d: int, e: int, c: int) -> tuple[int, int, int]:
+def _combine(a: _Rows, w: _Rows, r1: int, r2: int, d: int, e: int) -> tuple[int, int, int]:
     """Rows (r1, r2) := (x*r1 + y*r2, (d*r2 - e*r1) / g), with (g, x, y) = _bezout(d, e).
 
-    In ``a`` from column ``c`` on, in ``w`` whole; entries (d, e) become (g, 0).
+    In ``a`` and ``w`` alike; entries (d, e) of ``a`` become (g, 0).  d and e
+    are nonzero, so d/g and e/g are too, while x or y may be 0.
     """
     g, x, y = _bezout(d, e)
-    p, q = d // g, e // g
-    for rows, start in ((a, c), (w, 0)):
-        one, two = rows[r1][start:], rows[r2][start:]
-        rows[r1][start:] = [x * s + y * t for s, t in zip(one, two)]
-        rows[r2][start:] = [p * t - q * s for s, t in zip(one, two)]
+    for rows in (a, w):
+        rows[r1], rows[r2] = _combine_rows(rows[r1], rows[r2], x, y, d // g, e // g)
     return g, x, y
 
 
-def _echelon_pass(a: _Rows, w: _Rows, nrows: int, ncols: int) -> None:
-    """One row-echelon sweep over ``a`` by the three row operations.
+def _reduce_right(a: _Rows, w: _Rows, r: int, c: int, pivot_row: dict, above: dict) -> None:
+    """Balance pivot row ``r`` against every pivot right of column ``c``, left to right.
+
+    Each balance only adds columns right of the pivot it uses, so a heap of
+    the row's pivot columns, fed what each balance adds, visits them in
+    order.  The row's columns that hold no pivot yet go into ``above``.
+    """
+    heap = []
+    for c2 in a[r]:
+        if c2 in pivot_row:
+            if c2 > c:
+                heap.append(c2)
+        else:
+            above.setdefault(c2, []).append(r)
+    heapq.heapify(heap)
+    while heap:
+        c2 = heapq.heappop(heap)
+        if c2 in a[r]:
+            for c3 in _balance(a, w, r, pivot_row[c2], c2):
+                if c3 in pivot_row:
+                    heapq.heappush(heap, c3)
+                else:
+                    above.setdefault(c3, []).append(r)
+
+
+def _echelon_pass(a: _Rows, w: _Rows) -> None:
+    """One row-echelon sweep over the sparse rows ``a`` by the three row operations.
 
     :func:`_subtract`, :func:`_balance` and :func:`_combine` each mirror
     themselves onto the witness rows ``w``, so a caller that seeds ``w`` with
@@ -262,74 +322,104 @@ def _echelon_pass(a: _Rows, w: _Rows, nrows: int, ncols: int) -> None:
     Off-pivot entries are kept balanced-reduced against their column's
     pivot; without that, intermediate entries outgrow the final divisors by
     orders of magnitude.  Then rows go into pivot-column order, zero rows last.
-    """
-    piv_of_col: list[int | None] = [None] * ncols
-    piv_cols: list[int] = []
 
-    for k in range(nrows):
-        row = a[k]
+    Every pivot row is zero left of its pivot, so an operation at column c
+    changes its target only from c on.  The scan of a row therefore pops
+    columns off a heap that each operation feeds with the columns it adds.
+    ``above`` maps a column that holds no pivot yet to the pivot rows that
+    may hold an entry there; a new pivot prunes its list lazily.
+    """
+    pivot_row: dict[int, int] = {}
+    above: dict[int, list[int]] = {}
+    for k in range(len(a)):
+        heap = list(a[k])
+        heapq.heapify(heap)
         lead = None
-        for c in range(ncols):
-            e = row[c]
-            ri = piv_of_col[c]
+        while heap:
+            c = heapq.heappop(heap)
+            e = a[k].get(c)
+            if e is None:
+                continue
+            ri = pivot_row.get(c)
             if ri is None:
-                if e:
-                    lead = c
-                    break
-                continue
-            if not e:
-                continue
+                lead = c
+                break
             d = a[ri][c]
             if e % d == 0:
-                _subtract(a, w, k, ri, e // d, c)
+                added = _subtract(a, w, k, ri, e // d)
             else:
-                _combine(a, w, ri, k, d, e, c)
-                for c2 in piv_cols[bisect.bisect_right(piv_cols, c) :]:
-                    if a[ri][c2]:
-                        _balance(a, w, ri, piv_of_col[c2], c2)
+                # x may be 0, so row k can gain columns the new pivot row lacks
+                _combine(a, w, ri, k, d, e)
+                added = list(a[k])
+                _reduce_right(a, w, ri, c, pivot_row, above)
+            for c2 in added:
+                heapq.heappush(heap, c2)
         if lead is None:
             continue
-        if row[lead] < 0:
-            _subtract(a, w, k, k, 2, lead)  # negate: row - 2 * row
-        piv_of_col[lead] = k
-        bisect.insort(piv_cols, lead)
-        for c2 in piv_cols[bisect.bisect_right(piv_cols, lead) :]:
-            if row[c2]:
-                _balance(a, w, k, piv_of_col[c2], c2)
-        # bring entries of earlier pivot rows above the new pivot into range
-        for c2 in piv_cols[: bisect.bisect_left(piv_cols, lead)]:
-            if a[piv_of_col[c2]][lead]:
-                _balance(a, w, piv_of_col[c2], k, lead)
+        if a[k][lead] < 0:
+            _subtract(a, w, k, k, 2)  # negate: row - 2 * row
+        pivot_row[lead] = k
+        _reduce_right(a, w, k, lead, pivot_row, above)
+        # bring entries of earlier pivot rows above the new pivot into range;
+        # each balance changes only its own row, so their order is immaterial
+        for r in set(above.pop(lead, ())):
+            if lead in a[r]:
+                for c3 in _balance(a, w, r, k, lead):
+                    if c3 not in pivot_row:
+                        above.setdefault(c3, []).append(r)
 
-    order = [piv_of_col[c] for c in piv_cols]
-    order += sorted(set(range(nrows)).difference(order))
+    order = [pivot_row[c] for c in sorted(pivot_row)]
+    order += sorted(set(range(len(a))).difference(order))
     a[:] = [a[i] for i in order]
     w[:] = [w[i] for i in order]
+
+
+def _transpose(rows: _Rows, ncols: int) -> _Rows:
+    columns: _Rows = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, value in row.items():
+            columns[j][i] = value
+    return columns
 
 
 def _isolate_nonzeros(a: _Rows, u: _Rows, vt: _Rows) -> _Rows:
     """Reduce ``a`` until no row and no column holds two nonzeros; return it.
 
-    ``u`` holds one witness row per row of ``a`` and ``vt`` one per column:
-    row operations are mirrored onto ``u`` and column operations onto ``vt``,
-    which is v in transposed form.  Empty witness rows make this the
-    divisors-only reduction at no extra cost: each mirrored operation then
-    combines two empty rows.
+    ``a`` is a list of sparse rows, each a dict from column to nonzero entry,
+    and is reduced in place.  ``u`` holds one witness row per row of ``a``
+    and ``vt`` one per column, in the same storage: row operations are
+    mirrored onto ``u`` and column operations onto ``vt``, which is v in
+    transposed form.  Empty witness rows make this the divisors-only
+    reduction at no extra cost: each mirrored operation then combines two
+    empty rows.
 
     Each :func:`_echelon_pass` leaves every nonzero row leading at its own
     column with a positive pivot.  So a pass after which no row holds two
-    nonzeros has isolated them by columns too, and every nonzero returned
-    is positive.
+    nonzeros has isolated them by columns too, and every entry returned is
+    positive.
     """
     # Column operations act as row operations on the transpose, so the two
     # orientations share one routine.  Alternating passes strictly shrink
     # the pivots they touch, hence the loop reaches a state where every
     # nonzero is alone in its row and column.
     for w, other in itertools.cycle(((u, vt), (vt, u))):
-        _echelon_pass(a, w, len(w), len(other))
-        if all(len(row) - row.count(0) < 2 for row in a):
-            return a if w is u else [list(col) for col in zip(*a)]
-        a = [list(col) for col in zip(*a)]
+        _echelon_pass(a, w)
+        if all(len(row) < 2 for row in a):
+            return a if w is u else _transpose(a, len(other))
+        a = _transpose(a, len(other))
+
+
+def _sparse_rows(m: IntegerMatrix) -> _Rows:
+    """The rows of ``m`` as dicts from column to nonzero entry."""
+    return [{j: e for j, e in enumerate(m.row(i)) if e} for i in range(m.rows)]
+
+
+def _dense(rows: _Rows, ncols: int) -> IntegerMatrix:
+    flat = [0] * (len(rows) * ncols)
+    for i, row in enumerate(rows):
+        for j, value in row.items():
+            flat[i * ncols + j] = value
+    return IntegerMatrix(len(rows), ncols, flat)
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
@@ -338,8 +428,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     The diagonal of ``s`` is nonnegative and each entry divides the next;
     trailing entries are zero.  The reduction alternates row and column
     echelon sweeps of exact-division, balancing and Bezout steps, which keep
-    intermediate values near the size of the final divisors.  This is the
-    witness path: every operation is recorded in ``u`` and ``v``, and
+    intermediate values near the size of the final divisors.  It runs on
+    sparse rows, and so do the witnesses u and v^T, which start as the
+    identity; a dense matrix is built only for the three results.  This is
+    the witness path: every operation is recorded in ``u`` and ``v``, and
     :func:`elementary_divisors` runs the same sweeps without them.  Every
     step follows a fixed rule, so the run is fully deterministic.
 
@@ -350,20 +442,24 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     True
     """
     nrows, ncols = m.rows, m.cols
-    u = IntegerMatrix.identity(nrows).to_rows()
-    vt = IntegerMatrix.identity(ncols).to_rows()
-    a = _isolate_nonzeros(m.to_rows(), u, vt)
+    u = [{i: 1} for i in range(nrows)]
+    vt = [{j: 1} for j in range(ncols)]
+    a = _isolate_nonzeros(_sparse_rows(m), u, vt)
 
     # Gather the isolated entries onto the leading diagonal.
-    rank = sum(1 for row in a if any(row))
+    rank = sum(1 for row in a if row)
     for t in range(rank):
-        src = next(i for i in range(t, nrows) if any(a[i]))
+        src = next(i for i in range(t, nrows) if a[i])
         a[t], a[src] = a[src], a[t]
         u[t], u[src] = u[src], u[t]
-        j = next(idx for idx, e in enumerate(a[t]) if e)
+        (j,) = a[t]
         if j != t:
             for row in a:
-                row[t], row[j] = row[j], row[t]
+                here, there = row.pop(t, 0), row.pop(j, 0)
+                if there:
+                    row[t] = there
+                if here:
+                    row[j] = here
             vt[t], vt[j] = vt[j], vt[t]
 
     # Repair divisibility between adjacent diagonal entries with gcd/lcm
@@ -372,8 +468,9 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     # columns i and j by the Bezout coefficients, and clears entry (j, i)
     # with row i.  Rows and columns i and j are zero off the diagonal, so of
     # ``a`` only the diagonal pair changes, to the gcd and the lcm (both > 0);
-    # it is set directly, so the row operations get empty matrix rows.
-    bare: _Rows = [[] for _ in range(rank)]
+    # it is set directly, so the row operations get empty matrix rows.  The
+    # Bezout y of (di, dj) is nonzero since dj != 0, so every multiple is too.
+    bare: _Rows = [{} for _ in range(rank)]
     changed = True
     while changed:
         changed = False
@@ -382,17 +479,17 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
             di, dj = a[i][i], a[j][j]
             if dj % di == 0:
                 continue
-            _subtract(bare, u, i, j, -1, 0)
-            g, _, y = _combine(bare, vt, i, j, di, dj, 0)
-            _subtract(bare, u, j, i, y * (dj // g), 0)
+            _subtract(bare, u, i, j, -1)
+            g, _, y = _combine(bare, vt, i, j, di, dj)
+            _subtract(bare, u, j, i, y * (dj // g))
             a[i][i], a[j][j] = g, di // g * dj
             changed = True
 
     divisors = tuple(a[i][i] for i in range(rank))
     return SmithDecomposition(
-        s=IntegerMatrix.from_rows(a, cols=ncols),
-        u=IntegerMatrix.from_rows(u, cols=nrows),
-        v=IntegerMatrix.from_rows(zip(*vt), cols=ncols),
+        s=_dense(a, ncols),
+        u=_dense(u, nrows),
+        v=_dense(vt, ncols).transposed(),
         divisors=divisors,
     )
 
@@ -401,9 +498,10 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     """Nonzero Smith diagonal of ``m``, ascending under divisibility.
 
     This is the divisors-only path: it runs the echelon sweeps of
-    :func:`smith_normal_form` with no witness rows, then puts the isolated
-    nonzeros into a divisibility chain as scalars.  The Smith diagonal is
-    unique, so the result equals ``smith_normal_form(m).divisors``.
+    :func:`smith_normal_form` on the sparse rows of ``m`` with no witness
+    rows, then puts the isolated nonzeros into a divisibility chain as
+    scalars.  The Smith diagonal is unique, so the result equals
+    ``smith_normal_form(m).divisors``.
 
     >>> elementary_divisors(IntegerMatrix.from_rows([[2], [-4]]))
     [2]
@@ -414,8 +512,13 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     """
     if not (m.rows and m.cols):
         return []
-    a = _isolate_nonzeros(m.to_rows(), [[] for _ in range(m.rows)], [[] for _ in range(m.cols)])
-    return _divisor_chain(e for row in a for e in row if e)
+    return _row_divisors(_sparse_rows(m), m.cols)
+
+
+def _row_divisors(rows: _Rows, ncols: int) -> list[int]:
+    """:func:`elementary_divisors` of the matrix with these sparse rows and ``ncols`` columns."""
+    a = _isolate_nonzeros(rows, [{} for _ in rows], [{} for _ in range(ncols)])
+    return _divisor_chain(e for row in a for e in row.values())
 
 
 def _divisor_chain(values) -> list[int]:

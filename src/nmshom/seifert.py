@@ -44,18 +44,20 @@ class SeifertInvariant(_Invariant):
     """Unnormalized invariants (genus; beta_1/alpha_1, ..., beta_m/alpha_m).
 
     Pairs are stored as a tuple of (alpha, beta) tuples.  Construction checks
-    types and does not coerce them: the genus and every alpha and beta must be
-    an ``int`` and not a ``bool``.  Semantic requirements (m >= 1,
-    alpha_i >= 1, coprimality, nonnegative genus) are reported by
-    :meth:`validate`.
+    types and does not coerce them: each pair must be a tuple or list of two
+    items, and the genus and every alpha and beta an ``int`` and not a
+    ``bool``.  Semantic requirements (m >= 1, alpha_i >= 1, coprimality,
+    nonnegative genus) are reported by :meth:`validate`.
     """
 
     __slots__ = ()
 
     def __new__(cls, genus: int, pairs: tuple[tuple[int, int], ...]):
-        pairs = tuple((alpha, beta) for alpha, beta in pairs)
-        values = (genus, *(n for pair in pairs for n in pair))
-        if any(isinstance(n, bool) or not isinstance(n, int) for n in values):
+        pairs = tuple(tuple(pair) if isinstance(pair, (tuple, list)) else pair for pair in pairs)
+        if any(not isinstance(pair, tuple) or len(pair) != 2 for pair in pairs) or any(
+            isinstance(n, bool) or not isinstance(n, int)
+            for n in (genus, *(n for pair in pairs for n in pair))
+        ):
             raise TypeError(
                 "SeifertInvariant fields must be (genus: int, "
                 f"pairs: ((alpha: int, beta: int), ...)): {(genus, pairs)!r}"

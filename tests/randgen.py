@@ -31,6 +31,54 @@ def random_unimodular(rng, n):
     return IntegerMatrix.from_rows(rows, cols=n)
 
 
+def random_sparse_matrix(rng, max_side=6):
+    """A small sparse matrix of one of four shapes, often with zero rows and columns.
+
+    Bidiagonal with column j holding +a_j and -a_(j+1), as in a Seifert
+    boundary; block-diagonal with dense blocks; random at density 0.05-0.2;
+    and a first column whose top entry the entries below divide without
+    being divisible by it, so the Bezout step that clears them has x = 0.
+    Half of them get an all-zero row and an all-zero column spliced in.
+    """
+    values = [1, 2, 3, 4, 6, 8, 9, 12, -1, -2, -3, -4, -6, -9]
+    shape = rng.choice(("bidiagonal", "blocks", "sparse", "bezout"))
+    if shape == "bidiagonal":
+        cols = rng.randint(1, max_side - 1)
+        alphas = [abs(rng.choice(values)) for _ in range(cols + 1)]
+        rows = [[0] * cols for _ in range(cols + 1)]
+        for j in range(cols):
+            rows[j][j], rows[j + 1][j] = alphas[j], -alphas[j + 1]
+    elif shape == "blocks":
+        blocks = [
+            random_matrix(rng, max_rows=3, max_cols=3, min_rows=1, min_cols=1)
+            for _ in range(rng.randint(1, 3))
+        ]
+        cols = sum(b.cols for b in blocks)
+        rows, offset = [], 0
+        for b in blocks:
+            pad = cols - offset - b.cols
+            rows += [[0] * offset + list(b.row(i)) + [0] * pad for i in range(b.rows)]
+            offset += b.cols
+    else:
+        cols, density = rng.randint(1, max_side), rng.uniform(0.05, 0.2)
+        rows = [
+            [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rng.randint(1, max_side))
+        ]
+        if shape == "bezout":
+            top = rng.choice((6, 12, 18, 36))
+            below = [e for e in range(2, top) if top % e == 0]
+            rows.insert(0, [top] + [0] * (cols - 1))
+            for row in rows[1:]:
+                row[0] = rng.choice(below) * rng.choice((1, -1))
+    if rng.random() < 0.5:
+        i, j = rng.randint(0, len(rows)), rng.randint(0, cols)
+        rows = [row[:j] + [0] + row[j:] for row in rows]
+        rows.insert(i, [0] * (cols + 1))
+        cols += 1
+    return IntegerMatrix.from_rows(rows, cols=cols)
+
+
 def random_coprime_beta(rng, alpha, spread=24):
     candidates = [b for b in range(-spread, spread + 1) if math.gcd(alpha, b) == 1]
     return rng.choice(candidates)

@@ -10,6 +10,7 @@ from nmshom import (
     HomologyGroup,
     Incidence,
     IntegerMatrix,
+    SeifertInvariant,
     ValidationError,
     Violation,
     matrix_multiply,
@@ -81,6 +82,14 @@ class TestConstruction:
             ChainComplex((2,), (), generator_labels=[["a", "a"]])
         with pytest.raises(ValueError, match="one label list per degree"):
             ChainComplex((1,), (), generator_labels=[["a"], ["b"]])
+
+    def test_labels_are_not_coerced_to_strings(self):
+        with pytest.raises(TypeError, match="^ChainComplex generator labels must be strings"):
+            ChainComplex([2], [], generator_labels=[[1, 2]])
+
+    def test_mixed_label_types_are_a_type_error_not_a_duplicate(self):
+        with pytest.raises(TypeError, match="^ChainComplex generator labels must be strings"):
+            ChainComplex([2], [], generator_labels=[[1, "1"]])
 
     def test_ranks_nonnegative_and_nonempty(self):
         with pytest.raises(ValueError):
@@ -182,6 +191,29 @@ class TestHomology:
                 permuted.append(IntegerMatrix.from_rows(rows, cols=source.cols))
             shuffled = ChainComplex(c.ranks, permuted)
             assert shuffled.homology() == c.homology()
+
+
+class TestHomologyStaysSparse:
+    """homology reduces rows built from the sparse columns and never densifies."""
+
+    def test_emitted_seifert_flow_builds_no_matrix(self, monkeypatch):
+        rng = random.Random(823)
+        alphas = rng.choices([2, 3, 4, 6, 8, 9, 12], k=300)
+        invariant = SeifertInvariant(1, tuple((a, 1) for a in alphas))
+        text = invariant.to_flow_complex().serialize()
+        built = []
+        init = IntegerMatrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[:2])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(IntegerMatrix, "__init__", counting_init)
+        complex_ = parse_flow_complex(text).to_chain_complex()
+        assert complex_.homology() == invariant.homology_closed_form()
+        assert built == []
+        complex_.boundary(1)  # the counter does see a dense matrix
+        assert built == [(300, 301)]
 
 
 class TestEuler:

@@ -19,10 +19,11 @@ from nmshom import (
     parse_matrix,
     smith_normal_form,
 )
-from nmshom.linalg import _cofactor_determinant, _isolate_nonzeros
+from nmshom import linalg
+from nmshom.linalg import _cofactor_determinant, _isolate_nonzeros, _sparse_rows
 from nmshom.validation import _format_int
 
-from randgen import random_matrix, random_unimodular
+from randgen import random_matrix, random_sparse_matrix, random_unimodular
 
 WITNESS_DIGEST = "cc2d747fb7b033aa410c1b4a7e88a201f86f6c7dd298f4fb8a0eea5a55d4b904"
 
@@ -287,16 +288,15 @@ class TestDivisorsOnlyPath:
         # smith_normal_form and elementary_divisors take no sign fix-up and
         # stop on a row test; both rest on this output shape.
         for m in _divisor_corpus():
-            identity = IntegerMatrix.identity
             for u, vt in (
-                (identity(m.rows).to_rows(), identity(m.cols).to_rows()),
-                ([[] for _ in range(m.rows)], [[] for _ in range(m.cols)]),
+                ([{i: 1} for i in range(m.rows)], [{j: 1} for j in range(m.cols)]),
+                ([{} for _ in range(m.rows)], [{} for _ in range(m.cols)]),
             ):
-                a = _isolate_nonzeros(m.to_rows(), u, vt)
-                assert len(a) == m.rows and all(len(row) == m.cols for row in a), m
-                assert all(sum(1 for e in row if e) <= 1 for row in a), m
-                assert all(sum(1 for e in col if e) <= 1 for col in zip(*a)), m
-                assert all(e >= 0 for row in a for e in row), m
+                a = _isolate_nonzeros(_sparse_rows(m), u, vt)
+                assert len(a) == m.rows and all(0 <= j < m.cols for row in a for j in row), m
+                assert all(len(row) <= 1 for row in a), m
+                assert all(sum(1 for row in a if j in row) <= 1 for j in range(m.cols)), m
+                assert all(e >= 0 for row in a for e in row.values()), m
 
     def test_prefix_products_match_minors_gcd(self):
         rng = random.Random(173)
@@ -309,6 +309,43 @@ class TestDivisorsOnlyPath:
                 assert product == minors_gcd_oracle(m, k)
             for k in range(len(divisors) + 1, min(m.rows, m.cols) + 1):
                 assert minors_gcd_oracle(m, k) == 0
+
+
+class TestSparseCore:
+    """The core on sparse shapes: both paths agree, match the minors oracle, store no zero."""
+
+    @pytest.fixture
+    def bezout_xs(self, monkeypatch):
+        # every echelon pass must leave no stored zero in the matrix or witness rows
+        echelon, bezout, xs = linalg._echelon_pass, linalg._bezout, []
+
+        def checked_pass(a, w):
+            echelon(a, w)
+            assert all(e for row in (*a, *w) for e in row.values())
+
+        def recording_bezout(d, e):
+            g, x, y = bezout(d, e)
+            xs.append(x)
+            return g, x, y
+
+        monkeypatch.setattr(linalg, "_echelon_pass", checked_pass)
+        monkeypatch.setattr(linalg, "_bezout", recording_bezout)
+        return xs
+
+    def test_sparse_shapes(self, bezout_xs):
+        rng = random.Random(191)
+        for _ in range(400):
+            m = random_sparse_matrix(rng)
+            dec = smith_normal_form(m)
+            divisors = elementary_divisors(m)
+            assert divisors == list(dec.divisors), m
+            assert dec.s == dec.u @ m @ dec.v, m
+            if max(m.rows, m.cols) <= 7:
+                product = 1
+                for k in range(1, min(4, m.rows, m.cols) + 1):
+                    product = product * divisors[k - 1] if k <= len(divisors) else 0
+                    assert minors_gcd_oracle(m, k) == product, (m, k)
+        assert 0 in bezout_xs  # the corpus reaches a Bezout step with x = 0
 
 
 class TestMinorsOracle:

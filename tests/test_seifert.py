@@ -80,6 +80,8 @@ class TestInvariantText:
             (0.0, ((2, 1),)),
             (True, ((2, 1),)),
             (0, ((2, False),)),
+            (0, ((2, 1, 5),)),
+            (0, (2,)),
         ],
     )
     def test_field_types_are_checked_not_coerced(self, genus, pairs):
@@ -254,6 +256,13 @@ class TestClosedForm:
         assert groups[0] == expected
         # the closed form runs no Smith reduction; the flow pipeline does
         assert inv.to_flow_complex().to_chain_complex().homology()[0] == expected
+
+    def test_two_thousand_fibers_through_the_flow_pipeline(self):
+        rng = random.Random(2000)
+        alphas = [rng.choice([2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 36]) for _ in range(2000)]
+        inv = SeifertInvariant(0, tuple((a, random_coprime_beta(rng, a)) for a in alphas))
+        h0 = inv.to_flow_complex().to_chain_complex().homology()[0]
+        assert h0 == HomologyGroup(0, 1, tuple(_padic_torsion(alphas)))
 
     def test_closed_form_matches_padic_reference(self):
         rng = random.Random(1009)

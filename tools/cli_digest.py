@@ -8,7 +8,13 @@ SRC is the ``src`` directory to import nmshom from.  The inputs are the
 benchmark's three workload pools (``perfbench/gen.py`` with the sizes in
 ``perfbench/run.py``'s ``WORKLOADS``) for seeds 101 and 7, each run in
 porcelain and in human mode, plus 300 seeded small matrices run through
-``snf --witness`` in both modes.  The Seifert commands (``homology
+``snf --witness`` in both modes.  The sparse paths of the Smith core get
+200 small sparse matrices (``tests/randgen.py``'s ``random_sparse_matrix``:
+bidiagonal, block-diagonal, density 0.05-0.2, zero rows and columns, a
+Bezout step with x = 0) through ``snf`` and ``snf --witness``, and
+``homology`` on a Seifert flow with 2000 fibers, on a block union of about
+4000 orbits (``gen.validate_case`` with no defect) and on eight
+``gen.conjugated_case`` flows.  The Seifert commands (``homology
 --seifert``, ``seifert normalize``, ``seifert emit`` and ``seifert equiv``)
 run over the invariants of the seifert-torsion pools, an equivalent and an
 inequivalent partner of each, and a few invalid lists; they read no file.
@@ -36,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".cli-digest"
 SEEDS = (101, 7)
 SMALL_MATRICES = 300
+SPARSE_MATRICES = 200
 # alpha 0, a non-coprime pair, negative genus, no pairs
 INVALID_INVARIANTS = ("0;1/0,1/2", "0;2/4,1/3", "-1;1/2,1/3", "0;")
 
@@ -127,6 +134,25 @@ def _inputs():
     for i, invariants in enumerate(INVALID_INVARIANTS):
         for call_id, call_argv in _seifert_calls(f"invalid{i}", invariants, "0;1/2", "0;1/3"):
             yield "seifert-commands", 0, call_id, call_argv, None
+    # the sparse paths of the Smith core; their own generators leave the lines above unchanged
+    sys.path.insert(0, str(ROOT / "tests"))
+    from randgen import random_sparse_matrix
+
+    sparse = random.Random("cli-digest-sparse")
+    for i in range(SPARSE_MATRICES):
+        m = random_sparse_matrix(sparse)
+        text = f"rows {m.rows} cols {m.cols}\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in m.to_rows()
+        )
+        yield "snf-sparse", 0, i, ["--porcelain", "snf", "{path}"], text
+        yield "snf-sparse", 0, f"{i}-witness", ["--porcelain", "snf", "--witness", "{path}"], text
+    large = random.Random("cli-digest-large")
+    argv = ["--porcelain", "homology", "{path}"]
+    yield "homology-large", 0, "seifert-2000", argv, gen.seifert_case(large, 0, 2000).text
+    yield "homology-large", 0, "union-4000", argv, gen.validate_case(large, 0, 4000, None).text
+    for i, per_index in enumerate((3, 6, 10, 15, 20, 25, 30, 40)):
+        case = gen.conjugated_case(large, i, per_index)
+        yield "homology-large", 0, f"conjugated-{i}", argv, case.text
 
 
 def main(argv: list[str]) -> int:
