@@ -2,26 +2,24 @@
 
 A complex stores one rank per degree 0..top_degree and one boundary map per
 degree 1..top_degree; the boundary below degree 0 and above the top are zero
-maps.  Each boundary is kept as sparse columns: column j of d_k is the tuple
-of (row, value) pairs of its nonzero entries.  A flow's boundaries are its
-incidence lists, so this storage is as large as the incidences, not as the
-dense grid.  The d.d = 0 check multiplies column by column over those
-nonzeros, so its cost is proportional to the number of nonzero products
-a_ik * b_kj rather than to the product's shape.  A dense
+maps.  Each boundary is kept in the Smith core's sparse row format: row i of
+d_k is a dict from column to nonzero entry, for generator i in degree k-1.
+A flow's boundaries are its incidence lists, so this storage is as large as
+the incidences, not as the dense grid.  The d.d = 0 check multiplies row by
+row over those nonzeros, so its cost is proportional to the number of
+nonzero products a_ik * b_kj rather than to the product's shape.  A dense
 :class:`~nmshom.linalg.IntegerMatrix` is built only on request, by
 :meth:`ChainComplex.boundary`.  :meth:`ChainComplex.homology` builds none: it
-turns the columns of each d_k into sparse rows in one pass and hands them to
-the sparse Smith core.  The free rank is ranks[k] - rank(d_k) -
-rank(d_{k+1}) and the torsion is the list of elementary divisors of d_{k+1}
-that exceed 1.
+hands the rows of each d_k to the sparse Smith core, which reduces a copy.
+The free rank is ranks[k] - rank(d_k) - rank(d_{k+1}) and the torsion is the
+list of elementary divisors of d_{k+1} that exceed 1.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
-from .linalg import IntegerMatrix, _row_divisors
+from .linalg import IntegerMatrix, _dense, _row_divisors, _sparse_rows
 from .validation import ValidationError, ValidationReport, Violation, _format_int
 
 __all__ = ["HomologyGroup", "ChainComplex"]
@@ -78,7 +76,7 @@ class ChainComplex:
 
     ``boundaries[k - 1]`` is the matrix of d_k, of shape ranks[k-1] x
     ranks[k]; column j gives the boundary of generator j in degree k.  The
-    complex keeps only the nonzero entries of each column, so a sparse
+    complex keeps only the nonzero entries of each row, so a sparse
     boundary costs memory in proportion to its nonzeros, and
     :meth:`boundary` builds a dense matrix each time it is called.
     Construction checks shapes and label uniqueness only; whether the
@@ -88,7 +86,7 @@ class ChainComplex:
     is computed once and kept.
     """
 
-    __slots__ = ("_ranks", "_columns", "_labels", "_square_report")
+    __slots__ = ("_ranks", "_rows", "_labels", "_square_report")
 
     def __init__(self, ranks, boundaries, generator_labels=None):
         ranks = tuple(ranks)
@@ -130,28 +128,25 @@ class ChainComplex:
                 if len(set(degree_labels)) != len(degree_labels):
                     raise ValueError(f"duplicate generator labels in degree {k}")
         self._ranks = ranks
-        self._columns = tuple(
-            tuple(
-                tuple((i, column[i]) for i in itertools.compress(range(m.rows), column))
-                for column in map(m.column, range(m.cols))
-            )
-            for m in boundaries
-        )
+        self._rows = tuple(map(_sparse_rows, boundaries))
         self._labels = labels
         self._square_report: ValidationReport | None = None
 
     @classmethod
-    def _from_columns(cls, ranks, columns, generator_labels) -> "ChainComplex":
-        """Build from sparse columns that the caller has already checked.
+    def _from_rows(cls, ranks, rows, generator_labels) -> "ChainComplex":
+        """Build from sparse rows that the caller has already checked.
 
-        ``columns[k - 1][j]`` lists the (row, value) pairs of the nonzero
-        entries in column j of d_k, with rows inside 0..ranks[k-1] - 1 and
-        no row twice.  Shapes and label uniqueness are not checked again;
-        flow assembly, which validates both, is the one caller.
+        ``rows[k - 1]`` holds the ranks[k-1] rows of d_k, and row i is a
+        dict from column (inside 0..ranks[k] - 1) to the nonzero entry in
+        row i of d_k.  The complex takes the dicts over, so the caller must
+        not change them afterwards; each degree's list becomes a tuple, so
+        an empty degree keeps nothing.  Shapes and label uniqueness are not
+        checked again; flow assembly, which validates both, is the one
+        caller.
         """
         complex_ = cls.__new__(cls)
         complex_._ranks = tuple(ranks)
-        complex_._columns = tuple(tuple(map(tuple, degree)) for degree in columns)
+        complex_._rows = tuple(map(tuple, rows))
         complex_._labels = tuple(map(tuple, generator_labels))
         complex_._square_report = None
         return complex_
@@ -174,61 +169,59 @@ class ChainComplex:
             raise ValueError(
                 f"no boundary in degree {k}; valid degrees are 0..{self.top_degree + 1}"
             )
+        if 1 <= k <= self.top_degree:
+            return _dense(self._rows[k - 1], self._ranks[k])
         rows = self._ranks[k - 1] if k else 0
         cols = self._ranks[k] if k <= self.top_degree else 0
-        flat = [0] * (rows * cols)
-        if 1 <= k <= self.top_degree:
-            for j, column in enumerate(self._columns[k - 1]):
-                for i, value in column:
-                    flat[i * cols + j] = value
-        return IntegerMatrix(rows, cols, flat)
+        return IntegerMatrix.zeros(rows, cols)
 
     def check_boundary_condition(self) -> ValidationReport:
         """Report every nonzero entry of d_k . d_(k+1), with generator labels.
 
-        Each product column is accumulated from the nonzeros of d_(k+1)'s
-        column and of the d_k columns they select, so the work is the
-        number of nonzero products; violations come in row-major order
-        (target row, then source column) for each k in turn.
+        Row i of the product is the sum of a * (row m of d_(k+1)) over the
+        nonzeros a = (d_k)_im of row i, so the work is the number of nonzero
+        products; violations come in row-major order (target row, then
+        source column) for each k in turn.
         """
         if self._square_report is not None:
             return self._square_report
         violations = []
         for k in range(1, self.top_degree):
-            lower = self._columns[k - 1]
-            nonzero = []  # (target row, source column, value)
-            for j, column in enumerate(self._columns[k]):
+            upper = self._rows[k]
+            for i, row in enumerate(self._rows[k - 1]):
                 sums: dict[int, int] = {}
-                for m, b in column:
-                    for i, a in lower[m]:
-                        sums[i] = sums.get(i, 0) + a * b
-                nonzero.extend((i, j, value) for i, value in sums.items() if value)
-            nonzero.sort()
-            for i, j, entry in nonzero:
-                value = _format_int(entry)
-                source = self._labels[k + 1][j]
-                target = self._labels[k - 1][i]
-                violations.append(
-                    Violation(
-                        code="nonzero-boundary-square",
-                        message=(
-                            f"d_{k}.d_{k + 1} is nonzero: generator {source!r} "
-                            f"maps to {value}*{target!r}"
-                        ),
-                        subjects=(source, target, value),
+                for m, a in row.items():
+                    for j, b in upper[m].items():
+                        sums[j] = sums.get(j, 0) + a * b
+                if not sums:
+                    continue
+                for j in sorted(sums):
+                    if not sums[j]:
+                        continue
+                    value = _format_int(sums[j])
+                    source = self._labels[k + 1][j]
+                    target = self._labels[k - 1][i]
+                    violations.append(
+                        Violation(
+                            code="nonzero-boundary-square",
+                            message=(
+                                f"d_{k}.d_{k + 1} is nonzero: generator {source!r} "
+                                f"maps to {value}*{target!r}"
+                            ),
+                            subjects=(source, target, value),
+                        )
                     )
-                )
         self._square_report = ValidationReport(tuple(violations))
         return self._square_report
 
     def homology(self) -> list[HomologyGroup]:
         """Homology in every degree 0..top_degree.
 
-        The rows of each d_k, row i for generator i in degree k-1, are built
-        from the stored columns in one pass and reduced by the sparse Smith
-        core for their elementary divisors; no dense matrix is built, so the
-        cost follows the nonzeros.  Raises ValidationError when the boundary
-        condition fails; homology is undefined for such data.
+        The stored rows of each d_k go to the sparse Smith core, which
+        reduces a copy for their elementary divisors; no dense matrix is
+        built, so the cost follows the nonzeros.  Raises ValidationError
+        when the boundary condition fails; homology is undefined for such
+        data.
         """
         # Read the kept report directly: a second check_boundary_condition call
         # would count as a second d.d check to the benchmark's call tracer.
@@ -239,11 +232,7 @@ class ChainComplex:
             raise ValidationError(report, "boundary condition d.d = 0 fails")
         # divisors[k] belongs to d_k; d_0 and d_(top+1) are zero maps
         divisors = [[]]
-        for k, columns in enumerate(self._columns, start=1):
-            rows = [{} for _ in range(self._ranks[k - 1])]
-            for j, column in enumerate(columns):
-                for i, value in column:
-                    rows[i][j] = value
+        for k, rows in enumerate(self._rows, start=1):
             divisors.append(_row_divisors(rows, self._ranks[k]))
         divisors.append([])
         return [

@@ -260,14 +260,15 @@ class FlowComplex:
             ids.append(orbit.id)
 
         ranks = [len(ids) for ids in by_degree]
-        # Column j of d_k lists the nonzero incidences of the j-th index-k orbit.
-        columns = [[[] for _ in range(ranks[k])] for k in range(1, self._dimension)]
+        # Row i of d_k maps j to the nonzero coefficient of the i-th
+        # index-(k-1) orbit in the boundary of the j-th index-k orbit.
+        rows = [[{} for _ in range(ranks[k - 1])] for k in range(1, self._dimension)]
         for inc in self._incidences:
             if inc.coefficient:
                 k, j = position[inc.upper]
-                columns[k - 1][j].append((position[inc.lower][1], inc.coefficient))
+                rows[k - 1][position[inc.lower][1]][j] = inc.coefficient
 
-        complex_ = ChainComplex._from_columns(ranks, columns, by_degree)
+        complex_ = ChainComplex._from_rows(ranks, rows, by_degree)
         square_report = complex_.check_boundary_condition()
         if not square_report.ok:
             raise ValidationError(square_report, "incidence data violates d.d = 0")

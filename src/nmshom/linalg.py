@@ -516,8 +516,15 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
 
 
 def _row_divisors(rows: _Rows, ncols: int) -> list[int]:
-    """:func:`elementary_divisors` of the matrix with these sparse rows and ``ncols`` columns."""
-    a = _isolate_nonzeros(rows, [{} for _ in rows], [{} for _ in range(ncols)])
+    """:func:`elementary_divisors` of the matrix with these sparse rows and ``ncols`` columns.
+
+    The core reduces a copy of the nonzero rows, so ``rows`` is left as it
+    was; with no nonzero row the core is not called at all.
+    """
+    a = [dict(row) for row in rows if row]
+    if not a:
+        return []
+    a = _isolate_nonzeros(a, [{} for _ in a], [{} for _ in range(ncols)])
     return _divisor_chain(e for row in a for e in row.values())
 
 

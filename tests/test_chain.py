@@ -16,6 +16,7 @@ from nmshom import (
     matrix_multiply,
     parse_flow_complex,
 )
+from nmshom import linalg
 
 from randgen import random_conjugated_flow, random_matrix, random_zero_square_flow
 
@@ -194,7 +195,7 @@ class TestHomology:
 
 
 class TestHomologyStaysSparse:
-    """homology reduces rows built from the sparse columns and never densifies."""
+    """homology reduces the stored sparse rows and never densifies."""
 
     def test_emitted_seifert_flow_builds_no_matrix(self, monkeypatch):
         rng = random.Random(823)
@@ -214,6 +215,47 @@ class TestHomologyStaysSparse:
         assert built == []
         complex_.boundary(1)  # the counter does see a dense matrix
         assert built == [(300, 301)]
+
+    def test_empty_degrees_skip_the_core(self, monkeypatch):
+        calls = []
+        isolate = linalg._isolate_nonzeros
+
+        def counting(a, u, vt):
+            calls.append(len(a))
+            return isolate(a, u, vt)
+
+        monkeypatch.setattr(linalg, "_isolate_nonzeros", counting)
+        head = "format nmsflow 1\ndim 20000\norbit a index 0\norbit r index 19999\n"
+        groups = parse_flow_complex(head).to_chain_complex().homology()
+        assert len(groups) == 20000
+        nonzero = [g for g in groups if g != HomologyGroup(g.degree, 0)]
+        assert nonzero == [HomologyGroup(0, 1), HomologyGroup(19999, 1)]
+        assert calls == []
+        # the counter does see the one degree with a nonzero boundary
+        flow = parse_flow_complex(head + "orbit b index 1\nincidence b a 2\n")
+        assert flow.to_chain_complex().homology()[0] == HomologyGroup(0, 0, (2,))
+        assert calls == [1]
+
+
+class TestHomologyLeavesComplexAlone:
+    """homology reduces copies, so the stored boundaries survive any number of calls."""
+
+    def test_boundaries_and_report_survive_homology(self):
+        rng = random.Random(617)
+        complexes = []
+        for _ in range(30):
+            flow, groups = random_conjugated_flow(rng)
+            complexes.append((flow.to_chain_complex(), groups))
+        c = complexes[0][0]
+        public = [c.boundary(k) for k in range(1, c.top_degree + 1)]
+        complexes.append((ChainComplex(c.ranks, public), complexes[0][1]))
+        for c, groups in complexes:
+            boundaries = [c.boundary(k) for k in range(c.top_degree + 2)]
+            report = c.check_boundary_condition()
+            assert c.homology() == groups
+            assert c.homology() == groups
+            assert [c.boundary(k) for k in range(c.top_degree + 2)] == boundaries
+            assert c.check_boundary_condition() == report
 
 
 class TestEuler:

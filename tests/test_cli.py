@@ -77,7 +77,7 @@ class TestValidateCommand:
 
 
 class TestValidateStaysSparse:
-    """validate checks d.d = 0 on the sparse columns and never densifies."""
+    """validate checks d.d = 0 on the sparse rows and never densifies."""
 
     @staticmethod
     def _block_union(defect):
@@ -208,15 +208,21 @@ class TestSnfCommand:
 
     @pytest.mark.parametrize("header", ["rows 100000 cols 0", "rows 0 cols 100000"])
     def test_entry_less_matrix_reduces_nothing(self, tmp_path, monkeypatch, header):
-        # no entries, no divisors: the answer comes before any per-row allocation
+        # no entries, no divisors: the answer comes before any per-row allocation,
+        # so neither the core nor the sparse row builder runs
         calls = []
 
         def counting(a, u, vt):
             calls.append((len(u), len(vt)))
             return isolate(a, u, vt)
 
-        isolate = linalg._isolate_nonzeros
+        def counting_rows(m):
+            calls.append((m.rows, m.cols))
+            return sparse_rows(m)
+
+        isolate, sparse_rows = linalg._isolate_nonzeros, linalg._sparse_rows
         monkeypatch.setattr(linalg, "_isolate_nonzeros", counting)
+        monkeypatch.setattr(linalg, "_sparse_rows", counting_rows)
         result = cmd_snf(_write(tmp_path, "m.txt", header + "\n"))
         assert (result.exit_code, result.machine_lines) == (0, ("snf",))
         assert result.human_text == "elementary divisors: (none)"

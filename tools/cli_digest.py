@@ -14,10 +14,13 @@ bidiagonal, block-diagonal, density 0.05-0.2, zero rows and columns, a
 Bezout step with x = 0) through ``snf`` and ``snf --witness``, and
 ``homology`` on a Seifert flow with 2000 fibers, on a block union of about
 4000 orbits (``gen.validate_case`` with no defect) and on eight
-``gen.conjugated_case`` flows.  The Seifert commands (``homology
---seifert``, ``seifert normalize``, ``seifert emit`` and ``seifert equiv``)
-run over the invariants of the seifert-torsion pools, an equivalent and an
-inequivalent partner of each, and a few invalid lists; they read no file.
+``gen.conjugated_case`` flows.  Flows of dimension 3000 with orbits in
+only a few indices, some with a d.d defect, run through ``validate`` and
+``homology``, so nearly every degree is empty.  The Seifert commands
+(``homology --seifert``, ``seifert normalize``, ``seifert emit`` and
+``seifert equiv``) run over the invariants of the seifert-torsion pools, an
+equivalent and an inequivalent partner of each, and a few invalid lists;
+they read no file.
 Every call goes in-process through ``nmshom.cli.main`` and prints one line::
 
     workload seed id mode exit sha256(stdout) sha256(stderr)
@@ -45,6 +48,18 @@ SMALL_MATRICES = 300
 SPARSE_MATRICES = 200
 # alpha 0, a non-coprime pair, negative genus, no pairs
 INVALID_INVARIANTS = ("0;1/0,1/2", "0;2/4,1/3", "-1;1/2,1/3", "0;")
+# (id, orbit indices, (upper, lower, coefficient) incidences) in dimension 3000;
+# orbit k is named ok, and the two "defect" flows break d.d = 0
+EMPTY_DEGREE_FLOWS = (
+    ("two-orbits", (0, 2999), ()),
+    ("spread", (0, 1, 1500, 2999), ((1, 0, 2),)),
+    (
+        "spread-defect",
+        (0, 1, 1499, 1500, 1501, 2999),
+        ((1, 0, 2), (1500, 1499, 3), (1501, 1500, 1)),
+    ),
+    ("top-defect", (0, 2997, 2998, 2999), ((2998, 2997, 2), (2999, 2998, 5))),
+)
 
 
 def _sha(text: str) -> str:
@@ -153,6 +168,14 @@ def _inputs():
     for i, per_index in enumerate((3, 6, 10, 15, 20, 25, 30, 40)):
         case = gen.conjugated_case(large, i, per_index)
         yield "homology-large", 0, f"conjugated-{i}", argv, case.text
+    for case_id, indices, incidences in EMPTY_DEGREE_FLOWS:
+        lines = ["format nmsflow 1", "dim 3000"]
+        lines += [f"orbit o{k} index {k}" for k in indices]
+        lines += [f"incidence o{upper} o{lower} {c}" for upper, lower, c in incidences]
+        text = "\n".join(lines) + "\n"
+        for command in ("validate", "homology"):
+            argv = ["--porcelain", command, "{path}"]
+            yield "empty-degrees", 0, f"{case_id}-{command}", argv, text
 
 
 def main(argv: list[str]) -> int:
