@@ -180,14 +180,17 @@ class ChainComplex:
 
         Row i of the product is the sum of a * (row m of d_(k+1)) over the
         nonzeros a = (d_k)_im of row i, so the work is the number of nonzero
-        products; violations come in row-major order (target row, then
-        source column) for each k in turn.
+        products, and a degree whose d_(k+1) has no nonzero costs one pass
+        over its empty rows; violations come in row-major order (target row,
+        then source column) for each k in turn.
         """
         if self._square_report is not None:
             return self._square_report
         violations = []
         for k in range(1, self.top_degree):
             upper = self._rows[k]
+            if not any(upper):  # d_(k+1) = 0, so d_k . d_(k+1) = 0 too
+                continue
             for i, row in enumerate(self._rows[k - 1]):
                 sums: dict[int, int] = {}
                 for m, a in row.items():

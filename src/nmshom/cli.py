@@ -10,6 +10,9 @@ human rendering moves to stderr.  Exit codes: 0 success, 1 semantic failure
 ``seifert emit`` writes a flow-complex document, which is already a versioned
 machine format; it is emitted unchanged in both modes so it can be piped
 straight back into ``homology``.  File arguments accept ``-`` for stdin.
+
+The parser is built once per process, on the first :func:`main` call, and
+each subcommand's parser carries its handler as ``args.run``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "cmd_seifert_equiv",
     "cmd_seifert_normalize",
     "cmd_seifert_emit",
-    "build_parser",
     "main",
 ]
 
@@ -157,7 +159,8 @@ def cmd_seifert_emit(invariants: str) -> CommandResult:
     return CommandResult(0, human_text=document, machine_lines=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmshom",
         description="Homology of non-singular Morse-Smale flows from combinatorial orbit data.",
@@ -171,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = commands.add_parser("validate", help="check a flow complex file")
     validate.add_argument("path", help="nmsflow file, or - for stdin")
+    validate.set_defaults(run=lambda args: cmd_validate(args.path))
 
     homology = commands.add_parser(
         "homology", help="homology of a flow complex file or of Seifert invariants"
@@ -179,39 +183,30 @@ def build_parser() -> argparse.ArgumentParser:
     homology.add_argument(
         "--seifert", metavar="INVARIANTS", help="compact invariants g;b1/a1,b2/a2,..."
     )
+    homology.set_defaults(run=lambda args: cmd_homology(path=args.path, seifert=args.seifert))
 
     snf = commands.add_parser("snf", help="Smith normal form of an integer matrix file")
     snf.add_argument("path", help="matrix file, or - for stdin")
     snf.add_argument("--witness", action="store_true", help="also print u, s, v")
+    snf.set_defaults(run=lambda args: cmd_snf(args.path, witness=args.witness))
 
     seifert = commands.add_parser("seifert", help="operations on Seifert invariants")
-    subcommands = seifert.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
+    subcommands = seifert.add_subparsers(required=True, metavar="subcommand")
 
     equiv = subcommands.add_parser("equiv", help="decide equivalence of two invariant lists")
     equiv.add_argument("first")
     equiv.add_argument("second")
+    equiv.set_defaults(run=lambda args: cmd_seifert_equiv(args.first, args.second))
 
     normalize = subcommands.add_parser("normalize", help="canonical form of an invariant list")
     normalize.add_argument("invariants")
+    normalize.set_defaults(run=lambda args: cmd_seifert_normalize(args.invariants))
 
     emit = subcommands.add_parser("emit", help="write the invariants' flow complex as nmsflow text")
     emit.add_argument("invariants")
+    emit.set_defaults(run=lambda args: cmd_seifert_emit(args.invariants))
 
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> CommandResult:
-    if args.command == "validate":
-        return cmd_validate(args.path)
-    if args.command == "homology":
-        return cmd_homology(path=args.path, seifert=args.seifert)
-    if args.command == "snf":
-        return cmd_snf(args.path, witness=args.witness)
-    if args.subcommand == "equiv":
-        return cmd_seifert_equiv(args.first, args.second)
-    if args.subcommand == "normalize":
-        return cmd_seifert_normalize(args.invariants)
-    return cmd_seifert_emit(args.invariants)
 
 
 def _render(result: CommandResult, porcelain: bool) -> None:
@@ -229,10 +224,10 @@ def _render(result: CommandResult, porcelain: bool) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "homology" and (args.path is None) == (args.seifert is None):
         parser.error("homology needs a file path or --seifert, not both")
-    result = _dispatch(args)
+    result = args.run(args)
     _render(result, porcelain=args.porcelain)
     return result.exit_code

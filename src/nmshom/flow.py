@@ -37,9 +37,9 @@ from .chain import ChainComplex
 from .validation import ParseError, ValidationError, ValidationReport, Violation
 from .validation import _parse_int, _significant_lines
 
-__all__ = ["Orbit", "Incidence", "FlowComplex", "parse_flow_complex", "ORBIT_ID_PATTERN"]
+__all__ = ["Orbit", "Incidence", "FlowComplex", "parse_flow_complex"]
 
-ORBIT_ID_PATTERN = re.compile(r"[A-Za-z0-9_]+")
+_ORBIT_ID_PATTERN = re.compile(r"[A-Za-z0-9_]+")
 
 
 class Orbit(NamedTuple):
@@ -143,7 +143,7 @@ class FlowComplex:
             by_id.setdefault(orbit.id, []).append(orbit)
 
         for orbit_id, group in by_id.items():
-            if not ORBIT_ID_PATTERN.fullmatch(orbit_id):
+            if not _ORBIT_ID_PATTERN.fullmatch(orbit_id):
                 violations.append(
                     Violation(
                         "bad-orbit-id",
@@ -285,7 +285,7 @@ class FlowComplex:
 
 
 def _checked_id(token: str, lineno: int) -> str:
-    if not ORBIT_ID_PATTERN.fullmatch(token):
+    if not _ORBIT_ID_PATTERN.fullmatch(token):
         raise ParseError(lineno, f"invalid orbit id {token!r}")
     return token
 

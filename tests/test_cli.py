@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, stream discipline, porcelain records."""
 
+import argparse
 import os
 import random
 import subprocess
@@ -359,6 +360,52 @@ class TestMainRendering:
         porcelain = capsys.readouterr().out
         assert plain == porcelain
         assert plain.startswith("format nmsflow 1\n")
+
+
+class TestSharedParser:
+    """main builds its parser once per process, and no call leaks into the next."""
+
+    def test_parser_is_built_on_the_first_call_only(self, monkeypatch):
+        main(["seifert", "normalize", "0;1/2"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["homology", "--seifert", "0;1/2,1/3,1/5"]) == 0
+        assert main(["--porcelain", "seifert", "equiv", "0;1/2", "0;1/2"]) == 0
+        assert built == []
+
+    def test_witness_does_not_carry_over(self, tmp_path, capsys):
+        path = _write(tmp_path, "m.txt", "rows 2 cols 2\n2 0\n0 3\n")
+        assert main(["snf", "--witness", path]) == 0
+        assert "u =" in capsys.readouterr().out
+        assert main(["snf", path]) == 0
+        assert capsys.readouterr().out == "elementary divisors: 1 6\n"
+
+    def test_porcelain_does_not_carry_over(self, tmp_path, capsys):
+        assert main(["--porcelain", "homology", "--seifert", "0;1/2,1/4"]) == 0
+        assert capsys.readouterr().out.startswith("porcelain 1\n")
+        assert main(["homology", _write(tmp_path, "f.nms", GOOD_FLOW)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "H_0 = Z\nH_1 = 0\nH_2 = Z\n"
+        assert "porcelain" not in captured.out + captured.err
+
+    def test_usage_error_leaves_no_trace(self, tmp_path, capsys):
+        argv = ["homology", _write(tmp_path, "f.nms", GOOD_FLOW)]
+        first = subprocess.run(
+            [sys.executable, "-m", "nmshom", *argv], capture_output=True, text=True
+        )
+        with pytest.raises(SystemExit) as err:
+            main(["homology"])
+        assert err.value.code == 2
+        assert "not both" in capsys.readouterr().err
+        assert main(argv) == first.returncode == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (first.stdout, first.stderr)
 
 
 # str.splitlines also breaks lines at these; the text formats do not

@@ -20,7 +20,12 @@ only a few indices, some with a d.d defect, run through ``validate`` and
 (``homology --seifert``, ``seifert normalize``, ``seifert emit`` and
 ``seifert equiv``) run over the invariants of the seifert-torsion pools, an
 equivalent and an inequivalent partner of each, and a few invalid lists;
-they read no file.
+they read no file.  Last come the argument parser's own paths: ``--help``
+at the top and for every subcommand, a missing command, subcommand or
+path, ``homology`` with neither input and with both, and unknown options.
+``COLUMNS`` is fixed, so help text wraps the same in every terminal; it
+still differs between Python versions, so compare digests made by one
+interpreter.
 Every call goes in-process through ``nmshom.cli.main`` and prints one line::
 
     workload seed id mode exit sha256(stdout) sha256(stderr)
@@ -36,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import random
 import shutil
 import sys
@@ -59,6 +65,29 @@ EMPTY_DEGREE_FLOWS = (
         ((1, 0, 2), (1500, 1499, 3), (1501, 1500, 1)),
     ),
     ("top-defect", (0, 2997, 2998, 2999), ((2998, 2997, 2), (2999, 2998, 5))),
+)
+# (id, argv without --porcelain) for the parser's help and usage errors; no file is read
+PARSER_CALLS = (
+    ("help", ["--help"]),
+    *(
+        (f"help-{'-'.join(command)}", [*command, "--help"])
+        for command in (
+            ["validate"],
+            ["homology"],
+            ["snf"],
+            ["seifert"],
+            ["seifert", "equiv"],
+            ["seifert", "normalize"],
+            ["seifert", "emit"],
+        )
+    ),
+    ("no-command", []),
+    ("seifert-no-subcommand", ["seifert"]),
+    ("snf-no-path", ["snf"]),
+    ("homology-neither", ["homology"]),
+    ("homology-both", ["homology", "flow.nms", "--seifert", "0;1/2"]),
+    ("unknown-option", ["--frobnicate", "validate", "flow.nms"]),
+    ("unknown-subcommand-option", ["snf", "--frobnicate", "matrix.txt"]),
 )
 
 
@@ -176,6 +205,8 @@ def _inputs():
         for command in ("validate", "homology"):
             argv = ["--porcelain", command, "{path}"]
             yield "empty-degrees", 0, f"{case_id}-{command}", argv, text
+    for case_id, argv in PARSER_CALLS:
+        yield "parser", 0, case_id, ["--porcelain", *argv], None
 
 
 def main(argv: list[str]) -> int:
@@ -192,6 +223,7 @@ def main(argv: list[str]) -> int:
     if Path(cli.__file__).resolve().parent.parent != src:
         print(f"error: nmshom was imported from {cli.__file__}, not from {src}", file=sys.stderr)
         return 2
+    os.environ["COLUMNS"] = "100"
     shutil.rmtree(WORK, ignore_errors=True)
     WORK.mkdir()
     for workload, seed, case_id, porcelain_argv, text in _inputs():
