@@ -26,6 +26,17 @@ listed have coefficient 0.
 
 :class:`FlowComplex` takes only the records :class:`Orbit` and
 :class:`Incidence`, which are named tuples like every nmshom value record.
+
+:func:`parse_flow_complex` recognises a well-formed ``orbit`` or
+``incidence`` line with one whole-line pattern, whose groups are the ids and
+the integer, so such a line costs one match and one ``int``.  Its ``\\s+``
+between tokens matches exactly the separators of ``str.split()``.  The
+``format`` and ``dim`` lines, a line the pattern rejects and a line with an
+integer past the interpreter's digit limit are read token by token, by the
+checks that name what is wrong in a ParseError.  The records the parser
+makes are not checked again: their ids matched the id pattern and their
+integers came from ``int``, so :class:`FlowComplex`'s field checks could not
+fail on them.
 """
 
 from __future__ import annotations
@@ -35,11 +46,15 @@ from typing import NamedTuple
 
 from .chain import ChainComplex
 from .validation import ParseError, ValidationError, ValidationReport, Violation
-from .validation import _parse_int, _significant_lines
+from .validation import _INTEGER_RE, _parse_int, _significant_lines
 
 __all__ = ["Orbit", "Incidence", "FlowComplex", "parse_flow_complex"]
 
 _ORBIT_ID_PATTERN = re.compile(r"[A-Za-z0-9_]+")
+# A stripped line ``orbit ID index N`` (groups 1, 2) or ``incidence U L C`` (groups 3-5),
+# its tokens read by the same id and integer patterns as on the token path.
+_ID, _INT = f"({_ORBIT_ID_PATTERN.pattern})", f"({_INTEGER_RE.pattern})"
+_RECORD_LINE = re.compile(rf"orbit\s+{_ID}\s+index\s+{_INT}|incidence\s+{_ID}\s+{_ID}\s+{_INT}")
 
 
 class Orbit(NamedTuple):
@@ -96,6 +111,24 @@ class FlowComplex:
         self._orbits = tuple(sorted(orbits))
         self._incidences = tuple(sorted(incidences))
 
+    @classmethod
+    def _from_parsed(cls, dimension: int, orbits: list, incidences: list) -> "FlowComplex":
+        """Build from the parser's ``(id, index)`` and ``(upper, lower, coefficient)`` tuples.
+
+        Their ids matched the id pattern and their integers came from
+        ``int``, so the field checks of ``__init__`` cannot fail and are not
+        made.  Both lists are sorted in place, which orders them as their
+        records would sort, and each tuple is then copied into its record
+        by ``tuple.__new__``, with no Python-level ``__new__`` per record.
+        """
+        orbits.sort()
+        incidences.sort()
+        flow = cls.__new__(cls)
+        flow._dimension = dimension
+        flow._orbits = tuple(map(tuple.__new__, [Orbit] * len(orbits), orbits))
+        flow._incidences = tuple(map(tuple.__new__, [Incidence] * len(incidences), incidences))
+        return flow
+
     @property
     def dimension(self) -> int:
         return self._dimension
@@ -133,94 +166,107 @@ class FlowComplex:
         incidence endpoints declared, no incidence between equal indices,
         index drop of exactly one, at most one incidence per orbit pair, and
         presence of an index-0 and an index-(n-1) orbit when any orbits exist.
+        The ids, the indices and the incidence pairs are each first tested
+        all at once; records are looked at one by one only where that test
+        fails, so the violations come in the same order either way.
         """
         violations: list[Violation] = []
         top = self._dimension - 1
 
-        # Both dicts are filled from the sorted records, so their keys come out ascending.
-        by_id: dict[str, list[Orbit]] = {}
-        for orbit in self._orbits:
-            by_id.setdefault(orbit.id, []).append(orbit)
-
-        for orbit_id, group in by_id.items():
-            if not _ORBIT_ID_PATTERN.fullmatch(orbit_id):
-                violations.append(
-                    Violation(
-                        "bad-orbit-id",
-                        f"orbit id {orbit_id!r} is not a word over [A-Za-z0-9_]",
-                        (orbit_id,),
-                    )
-                )
-            if len(group) > 1:
-                indices = ", ".join(str(o.index) for o in group)
-                violations.append(
-                    Violation(
-                        "duplicate-orbit-id",
-                        f"orbit id {orbit_id!r} is declared {len(group)} times (indices {indices})",
-                        (orbit_id,),
-                    )
-                )
-
-        for orbit in self._orbits:
-            if not 0 <= orbit.index <= top:
-                violations.append(
-                    Violation(
-                        "index-out-of-range",
-                        f"orbit {orbit.id!r} has index {orbit.index}, outside 0..{top}",
-                        (orbit.id,),
-                    )
-                )
-
-        index_of = {oid: group[0].index for oid, group in by_id.items() if len(group) == 1}
-        seen_pairs: dict[tuple[str, str], int] = {}
-        for inc in self._incidences:
-            for endpoint in (inc.upper, inc.lower):
-                if endpoint not in by_id:
+        # Every dict here is filled from the sorted records, so its keys come out ascending.
+        index_of = dict(self._orbits)  # a duplicated id keeps its last index
+        # nonempty ids are all words when their concatenation is one
+        ids_ok = "" not in index_of and _ORBIT_ID_PATTERN.fullmatch("".join(index_of))
+        unique = index_of  # the ids declared once, for the index checks
+        if not ids_ok or len(index_of) < len(self._orbits):
+            by_id: dict[str, list[Orbit]] = {}
+            for orbit in self._orbits:
+                by_id.setdefault(orbit.id, []).append(orbit)
+            for orbit_id, group in by_id.items():
+                if not ids_ok and not _ORBIT_ID_PATTERN.fullmatch(orbit_id):
                     violations.append(
                         Violation(
-                            "unknown-orbit",
-                            f"incidence {inc.upper!r} -> {inc.lower!r} references "
-                            f"undeclared orbit {endpoint!r}",
-                            (endpoint,),
+                            "bad-orbit-id",
+                            f"orbit id {orbit_id!r} is not a word over [A-Za-z0-9_]",
+                            (orbit_id,),
                         )
                     )
-            pair = (inc.upper, inc.lower)
-            seen_pairs[pair] = seen_pairs.get(pair, 0) + 1
-            upper_index = index_of.get(inc.upper)
-            lower_index = index_of.get(inc.lower)
+                if len(group) > 1:
+                    indices = ", ".join(str(o.index) for o in group)
+                    violations.append(
+                        Violation(
+                            "duplicate-orbit-id",
+                            f"orbit id {orbit_id!r} is declared {len(group)} times "
+                            f"(indices {indices})",
+                            (orbit_id,),
+                        )
+                    )
+            unique = {oid: group[0].index for oid, group in by_id.items() if len(group) == 1}
+
+        present = {index for _, index in self._orbits}
+        if present and not (0 <= min(present) and max(present) <= top):
+            for orbit in self._orbits:
+                if not 0 <= orbit.index <= top:
+                    violations.append(
+                        Violation(
+                            "index-out-of-range",
+                            f"orbit {orbit.id!r} has index {orbit.index}, outside 0..{top}",
+                            (orbit.id,),
+                        )
+                    )
+
+        for upper, lower, _ in self._incidences:
+            upper_index = unique.get(upper)
+            lower_index = unique.get(lower)
             if upper_index is None or lower_index is None:
-                continue
-            if upper_index == lower_index:
+                for endpoint in (upper, lower):
+                    if endpoint not in index_of:
+                        violations.append(
+                            Violation(
+                                "unknown-orbit",
+                                f"incidence {upper!r} -> {lower!r} references "
+                                f"undeclared orbit {endpoint!r}",
+                                (endpoint,),
+                            )
+                        )
+            elif upper_index == lower_index:
                 violations.append(
                     Violation(
                         "equal-index-incidence",
-                        f"incidence joins {inc.upper!r} and {inc.lower!r}, both of index "
+                        f"incidence joins {upper!r} and {lower!r}, both of index "
                         f"{upper_index}; orbits of equal index never connect",
-                        (inc.upper, inc.lower),
+                        (upper, lower),
                     )
                 )
             elif upper_index != lower_index + 1:
                 violations.append(
                     Violation(
                         "non-adjacent-incidence",
-                        f"incidence {inc.upper!r} (index {upper_index}) -> {inc.lower!r} "
+                        f"incidence {upper!r} (index {upper_index}) -> {lower!r} "
                         f"(index {lower_index}) must drop the index by exactly one",
-                        (inc.upper, inc.lower),
-                    )
-                )
-        for (upper, lower), count in seen_pairs.items():
-            if count > 1:
-                violations.append(
-                    Violation(
-                        "duplicate-incidence",
-                        f"{count} incidences recorded for pair {upper!r} -> {lower!r}; "
-                        f"at most one net coefficient per pair is allowed",
                         (upper, lower),
                     )
                 )
 
-        if self._orbits:
-            present = {orbit.index for orbit in self._orbits}
+        if self._incidences:
+            uppers, lowers, _ = zip(*self._incidences)
+            pairs = list(zip(uppers, lowers))
+            if len(set(pairs)) < len(pairs):
+                seen_pairs: dict[tuple[str, str], int] = {}
+                for pair in pairs:
+                    seen_pairs[pair] = seen_pairs.get(pair, 0) + 1
+                for (upper, lower), count in seen_pairs.items():
+                    if count > 1:
+                        violations.append(
+                            Violation(
+                                "duplicate-incidence",
+                                f"{count} incidences recorded for pair {upper!r} -> {lower!r}; "
+                                f"at most one net coefficient per pair is allowed",
+                                (upper, lower),
+                            )
+                        )
+
+        if present:
             if 0 not in present:
                 violations.append(
                     Violation(
@@ -252,23 +298,29 @@ class FlowComplex:
             raise ValidationError(report, "flow complex is not structurally valid")
 
         # Orbits are sorted by id, so each degree's list comes out sorted.
-        by_degree: list[list[str]] = [[] for _ in range(self._dimension)]
+        by_degree: dict[int, list[str]] = {}
         position: dict[str, tuple[int, int]] = {}
-        for orbit in self._orbits:
-            ids = by_degree[orbit.index]
-            position[orbit.id] = (orbit.index, len(ids))
-            ids.append(orbit.id)
+        for orbit_id, index in self._orbits:
+            ids = by_degree.setdefault(index, [])
+            position[orbit_id] = (index, len(ids))
+            ids.append(orbit_id)
 
-        ranks = [len(ids) for ids in by_degree]
+        # Only occupied degrees get lists; the empty ones share (), so a large
+        # dimension costs a slot per degree in each of labels, ranks and rows.
+        labels: list = [()] * self._dimension
         # Row i of d_k maps j to the nonzero coefficient of the i-th
         # index-(k-1) orbit in the boundary of the j-th index-k orbit.
-        rows = [[{} for _ in range(ranks[k - 1])] for k in range(1, self._dimension)]
-        for inc in self._incidences:
-            if inc.coefficient:
-                k, j = position[inc.upper]
-                rows[k - 1][position[inc.lower][1]][j] = inc.coefficient
+        rows: list = [()] * (self._dimension - 1)
+        for k, ids in by_degree.items():
+            labels[k] = ids
+            if k < self._dimension - 1:
+                rows[k] = [{} for _ in ids]
+        for upper, lower, coefficient in self._incidences:
+            if coefficient:
+                k, j = position[upper]
+                rows[k - 1][position[lower][1]][j] = coefficient
 
-        complex_ = ChainComplex._from_rows(ranks, rows, by_degree)
+        complex_ = ChainComplex._from_rows(tuple(map(len, labels)), rows, labels)
         square_report = complex_.check_boundary_condition()
         if not square_report.ok:
             raise ValidationError(square_report, "incidence data violates d.d = 0")
@@ -297,23 +349,34 @@ def parse_flow_complex(text: str) -> FlowComplex:
     problems such as dangling incidences are not parse errors; they are left
     for :meth:`FlowComplex.validate`.
     """
-    saw_format = False
+    lines = _significant_lines(text)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(1, "missing 'format nmsflow 1' header")
+    lineno, line = first
+    tokens = line.split()
+    if tokens[0] != "format":
+        raise ParseError(lineno, "expected 'format nmsflow 1' header")
+    if len(tokens) != 3 or tokens[1] != "nmsflow":
+        raise ParseError(lineno, f"malformed format header {line!r}")
+    if tokens[2] != "1":
+        raise ParseError(lineno, f"unsupported nmsflow version {tokens[2]!r}")
     dimension: int | None = None
-    orbits: list[Orbit] = []
-    incidences: list[Incidence] = []
-    last_line = 0
-    for lineno, line in _significant_lines(text):
-        last_line = lineno
+    orbits: list[tuple[str, int]] = []
+    incidences: list[tuple[str, str, int]] = []
+    for lineno, line in lines:
+        match = _RECORD_LINE.fullmatch(line)
+        if match is not None:
+            try:
+                if match.lastindex == 2:
+                    orbits.append((match[1], int(match[2])))
+                else:
+                    incidences.append((match[3], match[4], int(match[5])))
+                continue
+            except ValueError:  # past the digit limit; the token path below says so
+                pass
+        # The line is not a well-formed record: read it token by token as the format says.
         tokens = line.split()
-        if not saw_format:
-            if tokens[0] != "format":
-                raise ParseError(lineno, "expected 'format nmsflow 1' header")
-            if len(tokens) != 3 or tokens[1] != "nmsflow":
-                raise ParseError(lineno, f"malformed format header {line!r}")
-            if tokens[2] != "1":
-                raise ParseError(lineno, f"unsupported nmsflow version {tokens[2]!r}")
-            saw_format = True
-            continue
         directive = tokens[0]
         if directive == "format":
             raise ParseError(lineno, "duplicate format header")
@@ -330,19 +393,15 @@ def parse_flow_complex(text: str) -> FlowComplex:
             if len(tokens) != 4 or tokens[2] != "index":
                 raise ParseError(lineno, f"malformed orbit directive {line!r}")
             orbit_id = _checked_id(tokens[1], lineno)
-            index = _parse_int(tokens[3], lineno, "orbit index")
-            orbits.append(Orbit(orbit_id, index))
+            orbits.append((orbit_id, _parse_int(tokens[3], lineno, "orbit index")))
         elif directive == "incidence":
             if len(tokens) != 4:
                 raise ParseError(lineno, f"malformed incidence directive {line!r}")
             upper = _checked_id(tokens[1], lineno)
             lower = _checked_id(tokens[2], lineno)
-            coefficient = _parse_int(tokens[3], lineno, "coefficient")
-            incidences.append(Incidence(upper, lower, coefficient))
+            incidences.append((upper, lower, _parse_int(tokens[3], lineno, "coefficient")))
         else:
             raise ParseError(lineno, f"unknown directive {directive!r}")
-    if not saw_format:
-        raise ParseError(1, "missing 'format nmsflow 1' header")
     if dimension is None:
-        raise ParseError(last_line + 1, "missing dim directive")
-    return FlowComplex(dimension, orbits, incidences)
+        raise ParseError(lineno + 1, "missing dim directive")
+    return FlowComplex._from_parsed(dimension, orbits, incidences)

@@ -33,7 +33,7 @@ import operator
 import re
 from typing import NamedTuple
 
-from .validation import ParseError, _format_int, _parse_int, _significant_lines
+from .validation import _INTEGER_RE, ParseError, _format_int, _parse_int, _significant_lines
 
 __all__ = [
     "IntegerMatrix",
@@ -618,6 +618,8 @@ def is_unimodular(m: IntegerMatrix) -> bool:
 
 
 _HEADER_RE = re.compile(r"rows\s+([0-9]+)\s+cols\s+([0-9]+)")
+# A stripped row whose tokens are all integers; ``\s`` is what ``str.split()`` splits at.
+_ROW_RE = re.compile(rf"{_INTEGER_RE.pattern}(?:\s+{_INTEGER_RE.pattern})*")
 
 
 def parse_matrix(text: str) -> IntegerMatrix:
@@ -625,7 +627,10 @@ def parse_matrix(text: str) -> IntegerMatrix:
 
     The first significant line is a header ``rows R cols C``; each following
     significant line carries the C entries of one row, whitespace separated.
-    Blank lines and lines starting with ``#`` are ignored.
+    Blank lines and lines starting with ``#`` are ignored.  A row is
+    checked with one whole-line pattern and converted by ``int``; only a row
+    the pattern rejects, or one with an entry past the interpreter's digit
+    limit, is read token by token to name its first bad entry.
     """
     lines = list(_significant_lines(text))
     if not lines:
@@ -650,6 +655,12 @@ def parse_matrix(text: str) -> IntegerMatrix:
         tokens = line.split()
         if len(tokens) != ncols:
             raise ParseError(lineno, f"expected {ncols} entries, found {len(tokens)}")
+        if _ROW_RE.fullmatch(line):
+            try:
+                flat += map(int, tokens)
+                continue
+            except ValueError:  # past the digit limit; the token path below says so
+                pass
         flat.extend(_parse_int(token, lineno, "entry") for token in tokens)
     return IntegerMatrix(nrows, ncols, flat)
 

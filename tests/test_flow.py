@@ -4,6 +4,7 @@ import collections
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -379,6 +380,25 @@ class TestChainConversion:
                 ]
                 expected = IntegerMatrix.from_rows(grid, cols=len(labels[k]))
                 assert complex_.boundary(k) == expected, (k, fc.serialize())
+
+    def test_empty_degrees_cost_no_list_each(self):
+        # dimension 2 * 10^5 with orbits only at the ends: per-degree lists and
+        # dicts took about 160 bytes a degree, one shared () per slot takes 41
+        dim = 200_000
+        text = f"format nmsflow 1\ndim {dim}\norbit a index 0\norbit z index {dim - 1}\n"
+        fc = parse_flow_complex(text)
+        tracemalloc.start()
+        try:
+            complex_ = fc.to_chain_complex()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * dim, peak
+        assert complex_.ranks == (1,) + (0,) * (dim - 2) + (1,)
+        assert complex_.generator_labels == (("a",),) + ((),) * (dim - 2) + (("z",),)
+        assert complex_.boundary(1).rows == 1 and complex_.boundary(1).cols == 0
+        assert complex_.boundary(dim - 1).rows == 0 and complex_.boundary(dim - 1).cols == 1
+        assert complex_.check_boundary_condition().ok
 
     def test_rank_sum_equals_orbit_count(self):
         rng = random.Random(307)

@@ -23,6 +23,9 @@ equivalent and an inequivalent partner of each, and a few invalid lists;
 they read no file.  Last come the argument parser's own paths: ``--help``
 at the top and for every subcommand, a missing command, subcommand or
 path, ``homology`` with neither input and with both, and unknown options.
+Then :data:`MALFORMED` documents, which reach every flow and matrix
+ParseError, run through ``validate`` and ``homology`` or ``snf`` and
+``snf --witness``.
 ``COLUMNS`` is fixed, so help text wraps the same in every terminal; it
 still differs between Python versions, so compare digests made by one
 interpreter.
@@ -65,6 +68,54 @@ EMPTY_DEGREE_FLOWS = (
         ((1, 0, 2), (1500, 1499, 3), (1501, 1500, 1)),
     ),
     ("top-defect", (0, 2997, 2998, 2999), ((2998, 2997, 2), (2999, 2998, 5))),
+)
+_FLOW = "format nmsflow 1\ndim 3\n"
+_LONG = "7" * 4301  # past the interpreter's default digit limit
+# (id, kind, text): documents that reach every flow and matrix ParseError, and
+# well-formed ones that use other Unicode separators and other line ends
+MALFORMED = (
+    ("flow-empty", "flow", ""),
+    ("flow-no-header", "flow", "dim 3\n"),
+    ("flow-malformed-header", "flow", "format nmsflow\ndim 3\n"),
+    ("flow-header-version", "flow", "format nmsflow 2\ndim 3\n"),
+    ("flow-duplicate-header", "flow", "format nmsflow 1\nformat nmsflow 1\n"),
+    ("flow-missing-dim", "flow", "format nmsflow 1\norbit a index 0\n"),
+    ("flow-duplicate-dim", "flow", _FLOW + "dim 3\n"),
+    ("flow-malformed-dim", "flow", "format nmsflow 1\ndim 3 4\n"),
+    ("flow-non-integer-dim", "flow", "format nmsflow 1\ndim three\n"),
+    ("flow-too-long-dim", "flow", f"format nmsflow 1\ndim {_LONG}\n"),
+    ("flow-small-dim", "flow", "format nmsflow 1\ndim 1\n"),
+    ("flow-malformed-orbit", "flow", _FLOW + "orbit a 0\n"),
+    ("flow-bad-id-orbit", "flow", _FLOW + "orbit a-b index 0\n"),
+    ("flow-bad-id-upper", "flow", _FLOW + "orbit a index 0\nincidence b.c a 1\n"),
+    ("flow-bad-id-lower", "flow", _FLOW + "orbit a index 0\nincidence b a\u00e9 1\n"),
+    ("flow-non-integer-index", "flow", _FLOW + "orbit a index 1_0\n"),
+    ("flow-too-long-index", "flow", _FLOW + f"orbit a index +{_LONG}\n"),
+    ("flow-malformed-incidence", "flow", _FLOW + "incidence b a\n"),
+    ("flow-non-integer-coefficient", "flow", _FLOW + "incidence b a \u0663\n"),
+    ("flow-too-long-coefficient", "flow", _FLOW + f"incidence b a -{_LONG}\n"),
+    ("flow-unknown-directive", "flow", _FLOW + "loop a index 0\n"),
+    (
+        "flow-other-separators",
+        "flow",
+        "format\u3000nmsflow 1\r\ndim 2\r\norbit\u3000a index 0\r\norbit b\x85index 1\r\n"
+        "incidence b a\x1c0\r\n",
+    ),
+    ("flow-cr-line-ends", "flow", "format nmsflow 1\rdim 2\rorbit a\tindex 0\rorbit b index 1\r"),
+    ("matrix-empty", "matrix", ""),
+    ("matrix-malformed-header", "matrix", "rows 2\n"),
+    ("matrix-non-ascii-header", "matrix", "rows \u0663 cols 1\n1\n"),
+    ("matrix-too-long-rows", "matrix", f"rows {_LONG} cols 1\n"),
+    ("matrix-too-long-cols", "matrix", f"rows 1 cols {_LONG}\n"),
+    ("matrix-missing-row", "matrix", "rows 2 cols 1\n5\n"),
+    ("matrix-extra-row", "matrix", "rows 1 cols 1\n5\n6\n"),
+    ("matrix-short-row", "matrix", "rows 1 cols 3\n1 2\n"),
+    ("matrix-long-row", "matrix", "rows 1 cols 2\n1 2 3\n"),
+    ("matrix-non-integer-entry", "matrix", "rows 2 cols 1\n4\nx\n"),
+    ("matrix-underscore-entry", "matrix", "rows 1 cols 2\n4 1_0\n"),
+    ("matrix-too-long-entry", "matrix", f"rows 1 cols 2\n1 {_LONG}\n"),
+    ("matrix-other-separators", "matrix", "rows 2 cols 2\r\n1\x1c2\r\n3\u3000-4\r\n"),
+    ("matrix-cr-line-ends", "matrix", "rows 1 cols 2\r3\u20286\r"),
 )
 # (id, argv without --porcelain) for the parser's help and usage errors; no file is read
 PARSER_CALLS = (
@@ -207,6 +258,11 @@ def _inputs():
             yield "empty-degrees", 0, f"{case_id}-{command}", argv, text
     for case_id, argv in PARSER_CALLS:
         yield "parser", 0, case_id, ["--porcelain", *argv], None
+    commands = {"flow": (["validate"], ["homology"]), "matrix": (["snf"], ["snf", "--witness"])}
+    for case_id, kind, text in MALFORMED:
+        for command in commands[kind]:
+            argv = ["--porcelain", *command, "{path}"]
+            yield "malformed", 0, f"{case_id}-{'-'.join(command)}", argv, text
 
 
 def main(argv: list[str]) -> int:
