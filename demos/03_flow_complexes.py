@@ -1,12 +1,14 @@
-"""Flows described by periodic orbits, and the homology they determine.
+"""Flows described by periodic orbits, and the homology of their foliations.
 
 A non-singular Morse-Smale flow on a closed orientable n-manifold has
 finitely many periodic orbits, each with an index in 0..n-1 counting its
 expanding directions.  Attaching the corresponding round handles filters the
 manifold, and the orbits generate a chain complex: degree k is free on the
 index-k orbits, and the boundary matrices hold one integer per orbit pair of
-adjacent index.  This demo builds such descriptions in the nmsflow text
-format and reads homology off them.
+adjacent index.  Its homology is that of the one-dimensional oriented
+foliation the flow defines, not of the manifold: the complex stops at
+degree n-1.  This demo builds such descriptions in the nmsflow text format
+and reads that homology off them.
 
 Run me directly:  python3 demos/03_flow_complexes.py
 """
@@ -16,7 +18,8 @@ from nmshom import parse_flow_complex
 # --- The simplest flow in dimension 2 --------------------------------------
 # One attracting orbit, one repelling orbit, net incidence zero.  Gluing the
 # two round handles (two annuli) along their circle boundaries with no net
-# wrapping closes up into the torus.
+# wrapping closes up into the torus; the foliation's homology has degrees 0
+# and 1 only, so it is not the torus's.
 torus = parse_flow_complex(
     """
     format nmsflow 1

@@ -5,8 +5,10 @@ unnormalized invariants (g; b1/a1, ..., bm/am) with every a_i >= 1 coprime
 to b_i.  The total space carries a flow with m attracting orbits, a single
 repelling orbit, and m + 2g - 1 orbits in between, and only m - 1 of the
 incidences are nonzero.  That makes the family a sharp end-to-end test: the
-homology of the flow's chain complex must agree with the closed form
-H_2 = Z, H_1 = Z^2g, H_0 = Z + (torsion of a known bidiagonal matrix).
+homology of the flow's one-dimensional foliation, computed from its chain
+complex, must agree with the closed form.  That is the base surface's
+groups, H_2 = Z, H_1 = Z^2g, H_0 = Z, plus torsion in H_0 from the
+exceptional fibers: the torsion of a known bidiagonal matrix.
 
 Run me directly:  python3 demos/04_seifert_fibrations.py
 """
@@ -29,10 +31,10 @@ for text in ("2;1/2,1/3,1/5", "0;1/2,1/4", "0;1/6,1/10,1/15"):
     groups = ", ".join(f"H_{g.degree} = {g}" for g in closed)
     print(f"{text:22} -> {groups}   [pipeline and closed form {agree}]")
 
-# Pairwise coprime alphas leave no torsion at all, so those manifolds have
-# the homology of the plain product surface x circle... visible above for
-# 2;1/2,1/3,1/5.  Shared factors between alphas surface as torsion: 30 for
-# the alphas 6, 10, 15, whose pairwise gcds multiply up.
+# Pairwise coprime alphas leave no torsion at all, so those foliations have
+# the homology of the base surface alone... visible above for 2;1/2,1/3,1/5.
+# Shared factors between alphas surface as torsion in H_0: 30 for the alphas
+# 6, 10, 15, whose pairwise gcds multiply up.
 
 # --- The matrix behind the torsion ------------------------------------------
 print()

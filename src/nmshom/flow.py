@@ -8,8 +8,9 @@ incidence joins an orbit of index k to one of index k-1; orbits of equal
 index never connect.  Summing handles by index gives a filtration of the
 manifold, and the orbits become generators of a chain complex whose degree-k
 group is free on the index-k orbits and whose boundary matrices are the
-incidence coefficients.  Homology of that complex is homology of the
-manifold.
+incidence coefficients.  Homology of that complex is the homology of the
+one-dimensional oriented foliation the flow defines, not of the manifold:
+the complex has degrees 0..n-1 only.
 
 Text format (one directive per line, ``#`` comments and blank lines
 ignored)::
@@ -24,19 +25,15 @@ Orbit ids are words over [A-Za-z0-9_].  ``incidence U L c`` records the net
 coefficient c of lower orbit L in the boundary of upper orbit U; pairs not
 listed have coefficient 0.
 
-:class:`FlowComplex` takes only the records :class:`Orbit` and
-:class:`Incidence`, which are named tuples like every nmshom value record.
-
-:func:`parse_flow_complex` recognises a well-formed ``orbit`` or
-``incidence`` line with one whole-line pattern, whose groups are the ids and
-the integer, so such a line costs one match and one ``int``.  Its ``\\s+``
-between tokens matches exactly the separators of ``str.split()``.  The
-``format`` and ``dim`` lines, a line the pattern rejects and a line with an
-integer past the interpreter's digit limit are read token by token, by the
-checks that name what is wrong in a ParseError.  The records the parser
-makes are not checked again: their ids matched the id pattern and their
-integers came from ``int``, so :class:`FlowComplex`'s field checks could not
-fail on them.
+:func:`parse_flow_complex` splits each line after the header once.  If the
+lines are well-formed records and one ``dim`` line, one match over the
+concatenated ids and one over the concatenated integers check their
+characters, and ``int`` converts the integers.  If any of that fails, the
+document is read again token by token, by the checks that name the first
+fault in a ParseError.  The parser keeps plain tuples; the records
+:class:`Orbit` and :class:`Incidence`, which :class:`FlowComplex` takes, are
+made from them when :attr:`FlowComplex.orbits` or
+:attr:`FlowComplex.incidences` is first read.
 """
 
 from __future__ import annotations
@@ -46,15 +43,14 @@ from typing import NamedTuple
 
 from .chain import ChainComplex
 from .validation import ParseError, ValidationError, ValidationReport, Violation
-from .validation import _INTEGER_RE, _parse_int, _significant_lines
+from .validation import _parse_int, _significant_lines
 
 __all__ = ["Orbit", "Incidence", "FlowComplex", "parse_flow_complex"]
 
 _ORBIT_ID_PATTERN = re.compile(r"[A-Za-z0-9_]+")
-# A stripped line ``orbit ID index N`` (groups 1, 2) or ``incidence U L C`` (groups 3-5),
-# its tokens read by the same id and integer patterns as on the token path.
-_ID, _INT = f"({_ORBIT_ID_PATTERN.pattern})", f"({_INTEGER_RE.pattern})"
-_RECORD_LINE = re.compile(rf"orbit\s+{_ID}\s+index\s+{_INT}|incidence\s+{_ID}\s+{_ID}\s+{_INT}")
+# What integer tokens are made of.  Over these characters ``int`` takes exactly the
+# token path's ``[+-]?[0-9]+``, so it rejects the rest: a lone or misplaced sign.
+_INTEGER_CHARS = re.compile(r"[0-9+-]*")
 
 
 class Orbit(NamedTuple):
@@ -83,7 +79,7 @@ class FlowComplex:
     :meth:`validate` never meet a value they cannot compare.
     """
 
-    __slots__ = ("_dimension", "_orbits", "_incidences")
+    __slots__ = ("_dimension", "_orbits", "_incidences", "_orbit_records", "_incidence_records")
 
     def __init__(self, dimension: int, orbits=(), incidences=()):
         if not isinstance(dimension, int) or isinstance(dimension, bool):
@@ -108,25 +104,23 @@ class FlowComplex:
                     f"Incidence fields must be (upper: str, lower: str, coefficient: int): {inc!r}"
                 )
         self._dimension = dimension
-        self._orbits = tuple(sorted(orbits))
-        self._incidences = tuple(sorted(incidences))
+        self._orbits = self._orbit_records = tuple(sorted(orbits))
+        self._incidences = self._incidence_records = tuple(sorted(incidences))
 
     @classmethod
     def _from_parsed(cls, dimension: int, orbits: list, incidences: list) -> "FlowComplex":
         """Build from the parser's ``(id, index)`` and ``(upper, lower, coefficient)`` tuples.
 
-        Their ids matched the id pattern and their integers came from
-        ``int``, so the field checks of ``__init__`` cannot fail and are not
-        made.  Both lists are sorted in place, which orders them as their
-        records would sort, and each tuple is then copied into its record
-        by ``tuple.__new__``, with no Python-level ``__new__`` per record.
+        Their fields cannot fail the checks of ``__init__``, which are not
+        made.  Both lists are sorted in place, as their records would sort,
+        and kept as plain tuples, which equal and hash as the records do.
         """
         orbits.sort()
         incidences.sort()
         flow = cls.__new__(cls)
         flow._dimension = dimension
-        flow._orbits = tuple(map(tuple.__new__, [Orbit] * len(orbits), orbits))
-        flow._incidences = tuple(map(tuple.__new__, [Incidence] * len(incidences), incidences))
+        flow._orbits, flow._orbit_records = tuple(orbits), None
+        flow._incidences, flow._incidence_records = tuple(incidences), None
         return flow
 
     @property
@@ -135,11 +129,15 @@ class FlowComplex:
 
     @property
     def orbits(self) -> tuple[Orbit, ...]:
-        return self._orbits
+        if self._orbit_records is None:
+            self._orbit_records = tuple(Orbit(*fields) for fields in self._orbits)
+        return self._orbit_records
 
     @property
     def incidences(self) -> tuple[Incidence, ...]:
-        return self._incidences
+        if self._incidence_records is None:
+            self._incidence_records = tuple(Incidence(*fields) for fields in self._incidences)
+        return self._incidence_records
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlowComplex):
@@ -179,9 +177,9 @@ class FlowComplex:
         ids_ok = "" not in index_of and _ORBIT_ID_PATTERN.fullmatch("".join(index_of))
         unique = index_of  # the ids declared once, for the index checks
         if not ids_ok or len(index_of) < len(self._orbits):
-            by_id: dict[str, list[Orbit]] = {}
-            for orbit in self._orbits:
-                by_id.setdefault(orbit.id, []).append(orbit)
+            by_id: dict[str, list[int]] = {}  # id -> its declared indices
+            for orbit_id, index in self._orbits:
+                by_id.setdefault(orbit_id, []).append(index)
             for orbit_id, group in by_id.items():
                 if not ids_ok and not _ORBIT_ID_PATTERN.fullmatch(orbit_id):
                     violations.append(
@@ -192,7 +190,7 @@ class FlowComplex:
                         )
                     )
                 if len(group) > 1:
-                    indices = ", ".join(str(o.index) for o in group)
+                    indices = ", ".join(map(str, group))
                     violations.append(
                         Violation(
                             "duplicate-orbit-id",
@@ -201,17 +199,17 @@ class FlowComplex:
                             (orbit_id,),
                         )
                     )
-            unique = {oid: group[0].index for oid, group in by_id.items() if len(group) == 1}
+            unique = {oid: group[0] for oid, group in by_id.items() if len(group) == 1}
 
         present = {index for _, index in self._orbits}
         if present and not (0 <= min(present) and max(present) <= top):
-            for orbit in self._orbits:
-                if not 0 <= orbit.index <= top:
+            for orbit_id, index in self._orbits:
+                if not 0 <= index <= top:
                     violations.append(
                         Violation(
                             "index-out-of-range",
-                            f"orbit {orbit.id!r} has index {orbit.index}, outside 0..{top}",
-                            (orbit.id,),
+                            f"orbit {orbit_id!r} has index {index}, outside 0..{top}",
+                            (orbit_id,),
                         )
                     )
 
@@ -329,9 +327,10 @@ class FlowComplex:
     def serialize(self) -> str:
         """Deterministic rendering in the nmsflow text format."""
         lines = ["format nmsflow 1", f"dim {self._dimension}"]
-        lines.extend(f"orbit {o.id} index {o.index}" for o in self._orbits)
+        lines.extend(f"orbit {orbit_id} index {index}" for orbit_id, index in self._orbits)
         lines.extend(
-            f"incidence {i.upper} {i.lower} {i.coefficient}" for i in self._incidences
+            f"incidence {upper} {lower} {coefficient}"
+            for upper, lower, coefficient in self._incidences
         )
         return "\n".join(lines) + "\n"
 
@@ -340,6 +339,45 @@ def _checked_id(token: str, lineno: int) -> str:
     if not _ORBIT_ID_PATTERN.fullmatch(token):
         raise ParseError(lineno, f"invalid orbit id {token!r}")
     return token
+
+
+def _read_well_formed(lines) -> FlowComplex | None:
+    """The flow of a body of well-formed records and one dim line; None for any other body.
+
+    Ids and integers are each checked by one character class over their concatenation;
+    a pattern with a repeated group would keep a backtracking entry per token.
+    """
+    dim, orbits, incidences = None, [], []
+    for _, line in lines:
+        tokens = line.split()
+        if len(tokens) == 4:
+            directive, first, second, third = tokens
+            if directive == "incidence":
+                incidences.append((first, second, third))
+            elif directive == "orbit" and second == "index":
+                orbits.append((first, third))
+            else:
+                return None
+        elif tokens[0] == "dim" and len(tokens) == 2 and dim is None:
+            dim = tokens[1]
+        else:
+            return None
+    if dim is None or not orbits:
+        return None
+    ids, indices = zip(*orbits)
+    uppers, lowers, coefficients = zip(*incidences) if incidences else ((),) * 3
+    if not (
+        _ORBIT_ID_PATTERN.fullmatch("".join((*ids, *uppers, *lowers)))
+        and _INTEGER_CHARS.fullmatch("".join((dim, *indices, *coefficients)))
+    ):
+        return None
+    try:
+        dimension = int(dim)
+        orbits = list(zip(ids, map(int, indices)))
+        incidences = list(zip(uppers, lowers, map(int, coefficients)))
+    except ValueError:  # a misplaced sign, or past the interpreter's digit limit
+        return None
+    return FlowComplex._from_parsed(dimension, orbits, incidences) if dimension >= 2 else None
 
 
 def parse_flow_complex(text: str) -> FlowComplex:
@@ -361,21 +399,16 @@ def parse_flow_complex(text: str) -> FlowComplex:
         raise ParseError(lineno, f"malformed format header {line!r}")
     if tokens[2] != "1":
         raise ParseError(lineno, f"unsupported nmsflow version {tokens[2]!r}")
+    flow = _read_well_formed(lines)
+    if flow is not None:
+        return flow
+    # Some line is not well formed: read the body again, token by token as the format says.
+    lines = _significant_lines(text)
+    next(lines)
     dimension: int | None = None
     orbits: list[tuple[str, int]] = []
     incidences: list[tuple[str, str, int]] = []
     for lineno, line in lines:
-        match = _RECORD_LINE.fullmatch(line)
-        if match is not None:
-            try:
-                if match.lastindex == 2:
-                    orbits.append((match[1], int(match[2])))
-                else:
-                    incidences.append((match[3], match[4], int(match[5])))
-                continue
-            except ValueError:  # past the digit limit; the token path below says so
-                pass
-        # The line is not a well-formed record: read it token by token as the format says.
         tokens = line.split()
         directive = tokens[0]
         if directive == "format":

@@ -14,14 +14,14 @@ column's pivot) and ``_combine`` (the Bezout 2 x 2 combination of two
 rows).  Each mirrors itself onto the witness rows, kept in the same sparse
 storage, inside its own definition, and nowhere else.  The core serves two
 paths: :func:`smith_normal_form` seeds the witnesses with the identity and
-returns u and v, while :func:`elementary_divisors` passes empty witness
-rows and returns only the divisors, which is all that homology needs.
-Every echelon sweep leaves each nonzero row leading at its own column with
-a positive pivot, so the core stops once no row holds two nonzeros, and the
-entries it isolates are positive.  :func:`minors_gcd_oracle` is an
-independent cross-check: the product of the first k diagonal entries
-equals the gcd of all k x k minors.  It shares no code with the reduction
-and expands determinants by cofactors.
+returns u and v, while :func:`elementary_divisors` passes None for them,
+so nothing is mirrored, and returns only the divisors, which is all that
+homology needs.  Every echelon sweep leaves each nonzero row leading at its
+own column with a positive pivot, so the core stops once no row holds two
+nonzeros, and the entries it isolates are positive.
+:func:`minors_gcd_oracle` is an independent cross-check: the product of the
+first k diagonal entries equals the gcd of all k x k minors.  It shares no
+code with the reduction and expands determinants by cofactors.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import itertools
 import math
 import operator
 import re
+from collections import Counter
 from typing import NamedTuple
 
 from .validation import _INTEGER_RE, ParseError, _format_int, _parse_int, _significant_lines
@@ -261,31 +262,32 @@ def _combine_rows(one: _Row, two: _Row, x: int, y: int, p: int, q: int) -> tuple
     return first, second
 
 
-def _subtract(a: _Rows, w: _Rows, dst: int, src: int, q: int) -> list[int]:
+def _subtract(a: _Rows, w: _Rows | None, dst: int, src: int, q: int) -> list[int]:
     """Row ``dst`` -= ``q`` * row ``src`` in ``a`` and ``w``; return what ``a[dst]`` gains."""
-    _subtract_row(w[dst], w[src], q)
+    if w is not None:
+        _subtract_row(w[dst], w[src], q)
     return _subtract_row(a[dst], a[src], q)
 
 
-def _balance(a: _Rows, w: _Rows, dst: int, src: int, c: int) -> list[int]:
+def _balance(a: _Rows, w: _Rows | None, dst: int, src: int, c: int) -> list[int]:
     """Balanced-reduce entry (dst, c) of ``a`` against the pivot (src, c)."""
     q = _balanced_quotient(a[dst][c], a[src][c])
     return _subtract(a, w, dst, src, q) if q else []
 
 
-def _combine(a: _Rows, w: _Rows, r1: int, r2: int, d: int, e: int) -> tuple[int, int, int]:
+def _combine(a: _Rows, w: _Rows | None, r1: int, r2: int, d: int, e: int) -> tuple[int, int, int]:
     """Rows (r1, r2) := (x*r1 + y*r2, (d*r2 - e*r1) / g), with (g, x, y) = _bezout(d, e).
 
     In ``a`` and ``w`` alike; entries (d, e) of ``a`` become (g, 0).  d and e
     are nonzero, so d/g and e/g are too, while x or y may be 0.
     """
     g, x, y = _bezout(d, e)
-    for rows in (a, w):
+    for rows in (a, w) if w is not None else (a,):
         rows[r1], rows[r2] = _combine_rows(rows[r1], rows[r2], x, y, d // g, e // g)
     return g, x, y
 
 
-def _reduce_right(a: _Rows, w: _Rows, r: int, c: int, pivot_row: dict, above: dict) -> None:
+def _reduce_right(a: _Rows, w: _Rows | None, r: int, c: int, pivot_row: dict, above: dict) -> None:
     """Balance pivot row ``r`` against every pivot right of column ``c``, left to right.
 
     Each balance only adds columns right of the pivot it uses, so a heap of
@@ -310,18 +312,19 @@ def _reduce_right(a: _Rows, w: _Rows, r: int, c: int, pivot_row: dict, above: di
                     above.setdefault(c3, []).append(r)
 
 
-def _echelon_pass(a: _Rows, w: _Rows) -> None:
+def _echelon_pass(a: _Rows, w: _Rows | None) -> None:
     """One row-echelon sweep over the sparse rows ``a`` by the three row operations.
 
     :func:`_subtract`, :func:`_balance` and :func:`_combine` each mirror
     themselves onto the witness rows ``w``, so a caller that seeds ``w`` with
-    the identity accumulates the combined transform.  Rows are folded in one
-    at a time: an entry below a pivot is cleared by exact division when the
-    pivot divides it and by a Bezout combination otherwise, and the first
-    nonzero that survives to a virgin column claims it as a new pivot.
-    Off-pivot entries are kept balanced-reduced against their column's
-    pivot; without that, intermediate entries outgrow the final divisors by
-    orders of magnitude.  Then rows go into pivot-column order, zero rows last.
+    the identity accumulates the combined transform (``w`` may be None).
+    Rows are folded in one at a time: an entry below a pivot is cleared by
+    exact division when the pivot divides it and by a Bezout combination
+    otherwise, and the first nonzero that survives to a virgin column claims
+    it as a new pivot.  Off-pivot entries are kept balanced-reduced against
+    their column's pivot; without that, intermediate entries outgrow the
+    final divisors by orders of magnitude.  Then rows go into pivot-column
+    order, zero rows last.
 
     Every pivot row is zero left of its pivot, so an operation at column c
     changes its target only from c on.  The scan of a row therefore pops
@@ -371,7 +374,8 @@ def _echelon_pass(a: _Rows, w: _Rows) -> None:
     order = [pivot_row[c] for c in sorted(pivot_row)]
     order += sorted(set(range(len(a))).difference(order))
     a[:] = [a[i] for i in order]
-    w[:] = [w[i] for i in order]
+    if w is not None:
+        w[:] = [w[i] for i in order]
 
 
 def _transpose(rows: _Rows, ncols: int) -> _Rows:
@@ -382,16 +386,16 @@ def _transpose(rows: _Rows, ncols: int) -> _Rows:
     return columns
 
 
-def _isolate_nonzeros(a: _Rows, u: _Rows, vt: _Rows) -> _Rows:
+def _isolate_nonzeros(a: _Rows, u: _Rows | None, vt: _Rows | None, ncols=None) -> _Rows:
     """Reduce ``a`` until no row and no column holds two nonzeros; return it.
 
     ``a`` is a list of sparse rows, each a dict from column to nonzero entry,
     and is reduced in place.  ``u`` holds one witness row per row of ``a``
     and ``vt`` one per column, in the same storage: row operations are
     mirrored onto ``u`` and column operations onto ``vt``, which is v in
-    transposed form.  Empty witness rows make this the divisors-only
-    reduction at no extra cost: each mirrored operation then combines two
-    empty rows.
+    transposed form.  With None for both, the divisors-only reduction,
+    nothing is mirrored, and ``ncols`` gives the column count that is
+    otherwise ``len(vt)``.
 
     Each :func:`_echelon_pass` leaves every nonzero row leading at its own
     column with a positive pivot.  So a pass after which no row holds two
@@ -401,12 +405,14 @@ def _isolate_nonzeros(a: _Rows, u: _Rows, vt: _Rows) -> _Rows:
     # Column operations act as row operations on the transpose, so the two
     # orientations share one routine.  Alternating passes strictly shrink
     # the pivots they touch, hence the loop reaches a state where every
-    # nonzero is alone in its row and column.
-    for w, other in itertools.cycle(((u, vt), (vt, u))):
+    # nonzero is alone in its row and column.  ``width`` is the column count
+    # of ``a`` in its current orientation.
+    ncols = len(vt) if ncols is None else ncols
+    for w, width, flipped in itertools.cycle(((u, ncols, False), (vt, len(a), True))):
         _echelon_pass(a, w)
         if all(len(row) < 2 for row in a):
-            return a if w is u else _transpose(a, len(other))
-        a = _transpose(a, len(other))
+            return _transpose(a, width) if flipped else a
+        a = _transpose(a, width)
 
 
 def _sparse_rows(m: IntegerMatrix) -> _Rows:
@@ -524,26 +530,63 @@ def _row_divisors(rows: _Rows, ncols: int) -> list[int]:
     a = [dict(row) for row in rows if row]
     if not a:
         return []
-    a = _isolate_nonzeros(a, [{} for _ in a], [{} for _ in range(ncols)])
+    a = _isolate_nonzeros(a, None, None, ncols)
     return _divisor_chain(e for row in a for e in row.values())
 
 
 def _divisor_chain(values) -> list[int]:
     """Invariant factors of the diagonal matrix with these nonzero entries.
 
-    Sorts the absolute values and replaces each pair (d_i, d_j) with i < j
-    by (gcd, lcm) until each entry divides the next; the product is kept.
+    Near-linear, after Bernstein ("Factoring into coprimes in essentially
+    linear time", J. Algorithms 53, 2005): the distinct absolute values are
+    refined into a pairwise coprime base whose elements b record their
+    exponent in every value.  A value coprime to the base joins it after one
+    gcd with the base's product.  One that shares a factor h with some b
+    loses every factor b if h = b, and otherwise b and the value go back as
+    b/h, h and value/h.  Each prime divides one b, so dealing each b's sorted
+    exponents to the largest factors sorts every prime's exponents: that is
+    the chain, with the product kept.
 
     >>> _divisor_chain([4, -6, 10])
     [2, 2, 60]
     """
-    chain = sorted(abs(v) for v in values)
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            di, dj = chain[i], chain[j]
-            if dj % di:
-                g = math.gcd(di, dj)
-                chain[i], chain[j] = g, di // g * dj
+    counts = Counter(map(abs, values))
+    base: dict[int, dict[int, int]] = {}  # element -> {value: exponent of the element in it}
+    product = 1  # of the base
+    # (factor, {value: exponent of the factor in it}), popped smallest first, so
+    # that a small factor is in the base before the values it divides
+    work = [(v, {v: 1}) for v in sorted(counts, reverse=True) if v > 1]
+    while work:
+        y, uses = work.pop()
+        g = math.gcd(y, product)
+        if g == 1:
+            base[y], product = uses, product * y
+            continue
+        b = g if g in base else next(b for b in base if math.gcd(b, g) > 1)
+        h = math.gcd(b, y)
+        if h == b:
+            k = 0
+            while y % b == 0:
+                y, k = y // b, k + 1
+            b_uses = base[b]
+            for v, e in uses.items():
+                b_uses[v] = b_uses.get(v, 0) + k * e
+            if y > 1:
+                work.append((y, uses))
+        else:
+            product //= b
+            b_uses = base.pop(b)
+            h_uses = dict(b_uses)
+            for v, e in uses.items():
+                h_uses[v] = h_uses.get(v, 0) + e
+            pieces = ((b // h, b_uses), (h, h_uses), (y // h, uses))
+            work += [piece for piece in pieces if piece[0] > 1]
+    chain = [1] * sum(counts.values())
+    for b, uses in base.items():
+        end = len(chain)  # the counts[v] entries before it get b^e, largest e last
+        for e, v in sorted(((e, v) for v, e in uses.items()), reverse=True):
+            chain[end - counts[v] : end] = map((b**e).__mul__, chain[end - counts[v] : end])
+            end -= counts[v]
     return chain
 
 

@@ -9,7 +9,7 @@ to consecutive index-0 orbits with weights +a_j and -a_(j+1), giving the
 bidiagonal boundary matrix this module also exposes directly.  Its
 elementary divisors are the invariant factors of diag(a_1, ..., a_m) less
 the largest, lcm(a_1, ..., a_m), so the closed form reads the torsion of
-H_0 straight off the a_i.
+the foliation's H_0 straight off the a_i.
 
 The compact text form is ``g;b1/a1,b2/a2,...`` (note beta before alpha, the
 traditional fraction), e.g. ``2;1/2,1/3,1/5``.
@@ -134,11 +134,16 @@ class SeifertInvariant(_Invariant):
         return FlowComplex(3, orbits, incidences)
 
     def homology_closed_form(self) -> list[HomologyGroup]:
-        """Homology of the fibered manifold without building the flow.
+        """Homology of the flow's one-dimensional foliation, without building the flow.
 
-        H_2 is free of rank one, H_1 is free of rank 2g, and H_0 is Z plus
-        torsion: the invariant factors of diag(a_1, ..., a_m) above 1, with
-        the largest one, lcm(a_1, ..., a_m), dropped.  No matrix is built.
+        These are the base surface's groups, with torsion in H_0 from the
+        exceptional fibers: H_2 is free of rank one, H_1 is free of rank 2g,
+        and H_0 is Z plus the invariant factors of diag(a_1, ..., a_m) above
+        1, with the largest one, lcm(a_1, ..., a_m), dropped.  No matrix is
+        built.
+
+        >>> [str(group) for group in parse_invariant("0;1/6,1/10,1/15").homology_closed_form()]
+        ['Z + Z/30', '0', 'Z']
         """
         self._require_valid()
         factors = _divisor_chain(alpha for alpha, _ in self.pairs)[:-1]

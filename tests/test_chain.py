@@ -220,9 +220,9 @@ class TestHomologyStaysSparse:
         calls = []
         isolate = linalg._isolate_nonzeros
 
-        def counting(a, u, vt):
+        def counting(a, *args):
             calls.append(len(a))
-            return isolate(a, u, vt)
+            return isolate(a, *args)
 
         monkeypatch.setattr(linalg, "_isolate_nonzeros", counting)
         head = "format nmsflow 1\ndim 20000\norbit a index 0\norbit r index 19999\n"

@@ -1,6 +1,7 @@
 """Flow complexes: the nmsflow format, validation, and chain conversion."""
 
 import collections
+import gc
 import random
 import re
 import sys
@@ -16,7 +17,9 @@ from nmshom import (
     ParseError,
     ValidationError,
     parse_flow_complex,
+    parse_invariant,
 )
+from nmshom import cli, flow
 
 from randgen import random_conjugated_flow, random_zero_square_flow
 
@@ -77,6 +80,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_flow_complex("format nmsflow 1\ndim 1\n")
 
+    @pytest.mark.parametrize("token, value", [("1", 1), ("0", 0), ("-3", -3), ("+1", 1)])
+    def test_dimension_too_small_among_well_formed_records(self, token, value):
+        text = f"format nmsflow 1\norbit a index 0\ndim {token}\norbit b index 1\n"
+        with pytest.raises(ParseError) as err:
+            parse_flow_complex(text)
+        reason = f"dimension must be at least 2, got {value}"
+        assert (err.value.line, err.value.reason) == (3, reason)
+
     def test_non_integer_coefficient(self):
         with pytest.raises(ParseError) as err:
             parse_flow_complex(MINIMAL + "incidence b a x\n")
@@ -115,6 +126,15 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_flow_complex(template.format(token))
         assert err.value.reason == f"non-integer {what} {token!r}"
+
+    @pytest.mark.parametrize("token", ["-", "+", "1-2", "2+", "--1", "+0-"])
+    def test_signs_only_lead_an_integer(self, token):
+        # made of digits and signs like a well-formed integer, so only int's own
+        # grammar tells them apart on the bulk path
+        text = MINIMAL + f"orbit c index 1\nincidence c a {token}\n"
+        with pytest.raises(ParseError) as err:
+            parse_flow_complex(text)
+        assert (err.value.line, err.value.reason) == (6, f"non-integer coefficient {token!r}")
 
     def test_integer_past_the_conversion_limit_is_too_long(self):
         digits = "7" * (sys.get_int_max_str_digits() + 1)
@@ -231,6 +251,70 @@ class TestRecords:
             assert pairs == sorted(p for p, c in counts.items() if c > 1)
 
 
+    def test_parsed_records_are_the_constructor_s(self):
+        # a parsed flow makes its records on first read: the same types, order,
+        # equality and hash as the public constructor's, and made only once
+        rng = random.Random(4243)
+        for case in range(200):
+            if case % 2:
+                flow = random_conjugated_flow(rng, dim=rng.randint(2, 4))[0]
+            else:
+                flow = random_zero_square_flow(rng)
+            orbits, incidences = list(flow.orbits), list(flow.incidences)
+            orbit = rng.choice(orbits)  # a duplicate id and an index out of range
+            orbits += [Orbit(orbit.id, orbit.index + 1), Orbit("far", flow.dimension)]
+            rng.shuffle(orbits)
+            rng.shuffle(incidences)
+            built = FlowComplex(flow.dimension, orbits, incidences)
+            parsed = parse_flow_complex(built.serialize())
+            # validate, compare and serialize before any record is made
+            assert parsed.validate() == built.validate(), case
+            assert parsed == built and hash(parsed) == hash(built), case
+            assert parsed.serialize() == built.serialize(), case
+            for kind in ("orbits", "incidences"):
+                mine, theirs = getattr(parsed, kind), getattr(built, kind)
+                assert [(type(r), r) for r in mine] == [(type(r), r) for r in theirs], case
+            assert parsed.orbits is parsed.orbits and parsed.incidences is parsed.incidences
+
+    def test_validate_and_homology_make_no_records(self, tmp_path, monkeypatch):
+        # count every Orbit and Incidence made, by any route, as it is freed
+        made = []
+
+        class CountedOrbit(Orbit):
+            __slots__ = ()
+
+            def __del__(self):
+                made.append("Orbit")
+
+        class CountedIncidence(Incidence):
+            __slots__ = ()
+
+            def __del__(self):
+                made.append("Incidence")
+
+        rng = random.Random(4244)
+        paths = []
+        for case in range(4):
+            text = random_conjugated_flow(rng, dim=3)[0].serialize()
+            paths.append(tmp_path / f"flow{case}.txt")
+            paths[-1].write_text(text)
+        paths.append(tmp_path / "seifert.txt")
+        paths[-1].write_text(parse_invariant("1;1/6,1/10,1/15").to_flow_complex().serialize())
+        gc.collect()
+        monkeypatch.setattr(flow, "Orbit", CountedOrbit)
+        monkeypatch.setattr(flow, "Incidence", CountedIncidence)
+        for path in paths:
+            for argv in (["validate", str(path)], ["homology", str(path)]):
+                for mode in ([], ["--porcelain"]):
+                    assert cli.main([*mode, *argv]) == 0, (argv, mode)
+        gc.collect()
+        assert made == []
+        # the counter does see the records a read of .orbits makes
+        parse_flow_complex(paths[0].read_text()).orbits
+        gc.collect()
+        assert made and set(made) == {"Orbit"}
+
+
 class TestValidation:
     def test_valid_document(self):
         assert parse_flow_complex(MINIMAL).validate().ok
@@ -284,6 +368,17 @@ class TestValidation:
     def test_duplicate_orbit_id(self):
         fc = FlowComplex(3, [Orbit("a", 0), Orbit("a", 1), Orbit("r", 2)])
         assert "duplicate-orbit-id" in _codes(fc.validate())
+
+    def test_violation_messages_of_a_parsed_flow(self):
+        text = (
+            "format nmsflow 1\ndim 3\norbit a index 0\norbit a index 1\norbit a index 0\n"
+            "orbit far index 5\norbit r index 2\norbit s index 1\nincidence s ghost 1\n"
+        )
+        assert parse_flow_complex(text).validate().describe().splitlines() == [
+            "- [duplicate-orbit-id] orbit id 'a' is declared 3 times (indices 0, 0, 1)",
+            "- [index-out-of-range] orbit 'far' has index 5, outside 0..2",
+            "- [unknown-orbit] incidence 's' -> 'ghost' references undeclared orbit 'ghost'",
+        ]
 
     def test_identical_duplicate_orbit_is_reported(self):
         fc = FlowComplex(3, [Orbit("a", 0), Orbit("a", 0), Orbit("r", 2)])

@@ -20,6 +20,7 @@ from nmshom import (
     seifert_equivalent,
 )
 
+from nmshom.linalg import _divisor_chain
 from randgen import random_coprime_beta, random_invariant
 
 
@@ -38,19 +39,41 @@ def _padic_torsion(alphas):
     are the p-primary invariant factors; the k-th smallest of every prime
     multiply to the k-th invariant factor.  Uses no Smith form.
     """
-    exponents = {}
-    for position, alpha in enumerate(alphas):
-        p = 2
+    factored = []
+    for alpha in alphas:
+        exponents, p = {}, 2
         while alpha > 1:
             while alpha % p == 0:
-                exponents.setdefault(p, [0] * len(alphas))[position] += 1
+                exponents[p] = exponents.get(p, 0) + 1
                 alpha //= p
             p += 1
-    factors = [1] * (len(alphas) - 1)
-    for p, powers in exponents.items():
-        for k, e in enumerate(sorted(powers)[:-1]):
+        factored.append(exponents)
+    return _torsion_from_exponents(factored)
+
+
+def _torsion_from_exponents(factored):
+    """:func:`_padic_torsion` of the alphas with these factorizations, ``{prime: exponent}``."""
+    powers = {}
+    for position, exponents in enumerate(factored):
+        for p, e in exponents.items():
+            if p not in powers:
+                powers[p] = [0] * len(factored)
+            powers[p][position] = e
+    factors = [1] * (len(factored) - 1)
+    for p, found in powers.items():
+        for k, e in enumerate(sorted(found)[:-1]):
             factors[k] *= p**e
     return [d for d in factors if d > 1]
+
+
+def _primes(lo: int, count: int) -> list[int]:
+    """The first ``count`` primes above ``lo``, by a sieve of the window above it."""
+    width = 20 * count + 1000  # primes near 10^6 are ~14 apart
+    sieve = bytearray([1]) * width  # sieve[i] stands for lo + 1 + i
+    for p in range(2, math.isqrt(lo + width) + 1):
+        start = -(lo + 1) % p
+        sieve[start::p] = bytes(len(range(start, width, p)))
+    return [lo + 1 + i for i, flag in enumerate(sieve) if flag][:count]
 
 
 class TestInvariantText:
@@ -279,6 +302,29 @@ class TestClosedForm:
             inv = SeifertInvariant(0, tuple((a, 1) for a in alphas))
             torsion = inv.homology_closed_form()[0].torsion
             assert list(torsion) == _padic_torsion(alphas), alphas
+        # alphas built from known factorizations, too large for trial division:
+        # distinct primes near 10^6, and powers of 2, 3 and 7 up to 2^60
+        large = _primes(10**6 - 300, 12)
+        assert len(large) == 12 and min(large) > 999_000
+        factored_cases = [[{2: 60}, {2: 60}], [{2: 60}, {2: 59, 3: 1}, {7: 21}], [{3: 37}] * 3]
+        for _ in range(300):
+            m = rng.choice([1, 2, 3, rng.randint(4, 12)])
+            factored = []
+            for _ in range(m):
+                if rng.random() < 0.5:
+                    exponents = {p: rng.randint(1, 3) for p in rng.sample(large, rng.randint(0, 3))}
+                else:
+                    exponents, bits = {}, 60.0
+                    for p in rng.sample([2, 3, 7], rng.randint(1, 3)):
+                        exponents[p] = rng.randint(0, int(bits / math.log2(p)))
+                        bits -= exponents[p] * math.log2(p)
+                factored.append(exponents)
+            factored_cases.append(factored)
+        for factored in factored_cases:
+            alphas = [math.prod(p**e for p, e in exponents.items()) for exponents in factored]
+            inv = SeifertInvariant(0, tuple((a, 1) for a in alphas))
+            torsion = inv.homology_closed_form()[0].torsion
+            assert list(torsion) == _torsion_from_exponents(factored), alphas
 
     def test_agrees_with_flow_pipeline(self):
         rng = random.Random(419)
@@ -302,6 +348,45 @@ class TestClosedForm:
             inv = random_invariant(rng)
             complex_ = inv.to_flow_complex().to_chain_complex()
             assert complex_.euler_characteristic() == 2 - 2 * inv.genus
+
+
+class TestChainScale:
+    """The divisor chain is near-linear.  Each bound is 3-4x the best-of-three time
+    measured on a shared 2-vCPU host (Python 3.11.7); the quadratic gcd/lcm sweep
+    the chain replaced took 2.7 s for Seifert homology at m = 10^4."""
+
+    ALPHAS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 18, 24, 27, 36)
+
+    @staticmethod
+    def _best(call) -> float:
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    def test_closed_form_at_a_hundred_thousand_fibers(self):
+        rng = random.Random(100_000)
+        alphas = [rng.choice(self.ALPHAS) for _ in range(10**5)]
+        inv = SeifertInvariant(0, tuple((a, 1) for a in alphas))
+        assert self._best(inv.homology_closed_form) < 0.15  # measured 0.034-0.036 s
+        expected = HomologyGroup(0, 1, tuple(_padic_torsion(alphas)))
+        assert inv.homology_closed_form()[0] == expected
+
+    def test_seifert_flow_homology_at_ten_thousand_fibers(self):
+        rng = random.Random(10_000)
+        alphas = [rng.choice(self.ALPHAS) for _ in range(10**4)]
+        inv = SeifertInvariant(1, tuple((a, random_coprime_beta(rng, a)) for a in alphas))
+        complex_ = inv.to_flow_complex().to_chain_complex()
+        assert self._best(complex_.homology) < 0.25  # measured 0.059-0.069 s
+        assert complex_.homology() == inv.homology_closed_form()
+
+    def test_chain_of_ten_thousand_distinct_primes(self):
+        primes = _primes(10**6, 10**4)
+        assert len(primes) == 10**4
+        assert self._best(lambda: _divisor_chain(primes)) < 1.0  # measured 0.33-0.35 s
+        assert _divisor_chain(primes) == [1] * (10**4 - 1) + [math.prod(primes)]
 
 
 class TestNormalization:

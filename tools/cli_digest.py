@@ -25,7 +25,10 @@ at the top and for every subcommand, a missing command, subcommand or
 path, ``homology`` with neither input and with both, and unknown options.
 Then :data:`MALFORMED` documents, which reach every flow and matrix
 ParseError, run through ``validate`` and ``homology`` or ``snf`` and
-``snf --witness``.
+``snf --witness``.  Last, fibrations whose alphas make the divisor chain
+work (distinct primes near 10^6, products of them, and high powers of 2, 3
+and 7 up to 2^60) run through ``homology --seifert`` and ``seifert emit``,
+and the emitted flow through ``homology``.
 ``COLUMNS`` is fixed, so help text wraps the same in every terminal; it
 still differs between Python versions, so compare digests made by one
 interpreter.
@@ -44,6 +47,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import os
 import random
 import shutil
@@ -205,8 +209,34 @@ def _seifert_calls(label: str, invariants: str, equivalent: str, inequivalent: s
         yield f"{label}-equiv-{name}", ["--porcelain", "seifert", "equiv", "--", invariants, text]
 
 
-def _inputs():
-    """Yield (workload, seed, id, porcelain argv, file text for ``{path}`` or None)."""
+def _chain_heavy_invariants():
+    """Yield (id, invariants) whose alphas have known, chain-heavy factorizations."""
+    primes = [n for n in range(10**6 - 2000, 10**6) if all(n % p for p in range(2, 1001))]
+    rng = random.Random("cli-digest-chain")
+    powers = []
+    for _ in range(60):
+        alpha, bits = 1, 60.0
+        for p in rng.sample((2, 3, 7), rng.randint(1, 3)):
+            e = rng.randint(0, int(bits / math.log2(p)))
+            alpha, bits = alpha * p**e, bits - e * math.log2(p)
+        powers.append(alpha)
+    alphas = {
+        "primes": primes,
+        "prime-products": [p * q for p, q in zip(primes, primes[1:41])]
+        + [p**2 for p in primes[:40:3]]
+        + [primes[0] * primes[5] * primes[9]],
+        "powers": powers,
+        "powers-top": [2**60, 2**60, 2**59 * 3, 3**37, 3**37, 7**21, 7**20 * 2, 2**30 * 7**10],
+    }
+    for genus, (case_id, values) in enumerate(alphas.items()):
+        yield case_id, f"{genus % 2};" + ",".join(f"1/{alpha}" for alpha in values)
+
+
+def _inputs(main):
+    """Yield (workload, seed, id, porcelain argv, file text for ``{path}`` or None).
+
+    ``main`` is the CLI entry point, which emits the flows of the chain-heavy fibrations.
+    """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import gen
     import run
@@ -263,6 +293,13 @@ def _inputs():
         for command in commands[kind]:
             argv = ["--porcelain", *command, "{path}"]
             yield "malformed", 0, f"{case_id}-{'-'.join(command)}", argv, text
+    for case_id, invariants in _chain_heavy_invariants():
+        closed = ["--porcelain", "homology", "--seifert", invariants]
+        yield "chain-heavy", 0, f"{case_id}-seifert", closed, None
+        emit = ["--porcelain", "seifert", "emit", "--", invariants]
+        yield "chain-heavy", 0, f"{case_id}-emit", emit, None
+        text = _call(main, emit)[1]
+        yield "chain-heavy", 0, f"{case_id}-flow", ["--porcelain", "homology", "{path}"], text
 
 
 def main(argv: list[str]) -> int:
@@ -282,7 +319,7 @@ def main(argv: list[str]) -> int:
     os.environ["COLUMNS"] = "100"
     shutil.rmtree(WORK, ignore_errors=True)
     WORK.mkdir()
-    for workload, seed, case_id, porcelain_argv, text in _inputs():
+    for workload, seed, case_id, porcelain_argv, text in _inputs(cli.main):
         if text is not None:
             path = WORK / f"{workload}-{seed}-{case_id}.txt"
             path.write_text(text, encoding="utf-8")
