@@ -15,10 +15,6 @@ from .linalg import (
     SmithDecomposition,
     elementary_divisors,
     format_matrix,
-    integer_determinant,
-    is_unimodular,
-    matrix_multiply,
-    minors_gcd_oracle,
     parse_matrix,
     smith_normal_form,
 )
@@ -46,10 +42,6 @@ __all__ = [
     "SmithDecomposition",
     "elementary_divisors",
     "format_matrix",
-    "integer_determinant",
-    "is_unimodular",
-    "matrix_multiply",
-    "minors_gcd_oracle",
     "parse_matrix",
     "smith_normal_form",
     "FlowComplex",

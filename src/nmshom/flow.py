@@ -43,14 +43,11 @@ from typing import NamedTuple
 
 from .chain import ChainComplex
 from .validation import ParseError, ValidationError, ValidationReport, Violation
-from .validation import _parse_int, _significant_lines
+from .validation import _INTEGER_CHARS, _parse_int, _significant_lines
 
 __all__ = ["Orbit", "Incidence", "FlowComplex", "parse_flow_complex"]
 
 _ORBIT_ID_PATTERN = re.compile(r"[A-Za-z0-9_]+")
-# What integer tokens are made of.  Over these characters ``int`` takes exactly the
-# token path's ``[+-]?[0-9]+``, so it rejects the rest: a lone or misplaced sign.
-_INTEGER_CHARS = re.compile(r"[0-9+-]*")
 
 
 class Orbit(NamedTuple):

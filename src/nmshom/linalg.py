@@ -19,9 +19,6 @@ so nothing is mirrored, and returns only the divisors, which is all that
 homology needs.  Every echelon sweep leaves each nonzero row leading at its
 own column with a positive pivot, so the core stops once no row holds two
 nonzeros, and the entries it isolates are positive.
-:func:`minors_gcd_oracle` is an independent cross-check: the product of the
-first k diagonal entries equals the gcd of all k x k minors.  It shares no
-code with the reduction and expands determinants by cofactors.
 """
 
 from __future__ import annotations
@@ -34,17 +31,13 @@ import re
 from collections import Counter
 from typing import NamedTuple
 
-from .validation import _INTEGER_RE, ParseError, _format_int, _parse_int, _significant_lines
+from .validation import _INTEGER_CHARS, ParseError, _format_int, _parse_int, _significant_lines
 
 __all__ = [
     "IntegerMatrix",
     "SmithDecomposition",
-    "matrix_multiply",
     "smith_normal_form",
     "elementary_divisors",
-    "minors_gcd_oracle",
-    "is_unimodular",
-    "integer_determinant",
     "parse_matrix",
     "format_matrix",
 ]
@@ -61,8 +54,8 @@ class IntegerMatrix:
     (3, 2)
     >>> m[1, 0]
     -3
-    >>> m.transposed().to_rows()
-    [[2, -3, 0], [0, 3, -5]]
+    >>> m.row(2)
+    (0, -5)
     """
 
     __slots__ = ("_rows", "_cols", "_entries")
@@ -99,10 +92,6 @@ class IntegerMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
         return cls(rows, cols, [0] * (rows * cols))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
-
     @property
     def rows(self) -> int:
         return self._rows
@@ -122,26 +111,8 @@ class IntegerMatrix:
             raise IndexError(f"row {i} outside {self._rows}x{self._cols} matrix")
         return self._entries[i * self._cols : (i + 1) * self._cols]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self._cols:
-            raise IndexError(f"column {j} outside {self._rows}x{self._cols} matrix")
-        return self._entries[j :: self._cols]
-
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self._rows)]
-
-    def transposed(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self._cols,
-            self._rows,
-            (self._entries[i * self._cols + j] for j in range(self._cols) for i in range(self._rows)),
-        )
-
-    def is_zero(self) -> bool:
-        return not any(self._entries)
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        return matrix_multiply(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
@@ -161,32 +132,8 @@ class IntegerMatrix:
         return f"IntegerMatrix.from_rows({self.to_rows()!r})"
 
 
-def matrix_multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
-    """Exact product of two integer matrices.
-
-    >>> i2 = IntegerMatrix.identity(2)
-    >>> m = IntegerMatrix.from_rows([[1, 2], [3, 4]])
-    >>> matrix_multiply(i2, m) == m
-    True
-    """
-    if a.cols != b.rows:
-        raise ValueError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}: inner dimensions differ"
-        )
-    b_rows = [b.row(k) for k in range(b.rows)]
-    flat: list[int] = []
-    for i in range(a.rows):
-        row = a.row(i)
-        acc = [0] * b.cols
-        for k in itertools.compress(range(a.cols), row):  # the k with a[i, k] nonzero
-            aik = row[k]
-            acc = [s + aik * t for s, t in zip(acc, b_rows[k])]
-        flat.extend(acc)
-    return IntegerMatrix(a.rows, b.cols, flat)
-
-
 class SmithDecomposition(NamedTuple):
-    """Result of :func:`smith_normal_form`: ``s == u @ m @ v``.
+    """Result of :func:`smith_normal_form`: s = u·m·v.
 
     ``s`` is diagonal with nonnegative entries forming a divisibility chain,
     ``u`` and ``v`` are unimodular, and ``divisors`` are the nonzero diagonal
@@ -444,8 +391,8 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     >>> dec = smith_normal_form(IntegerMatrix.from_rows([[6, 0], [-10, 10], [0, -15]]))
     >>> dec.divisors
     (1, 30)
-    >>> dec.s == matrix_multiply(matrix_multiply(dec.u, IntegerMatrix.from_rows([[6, 0], [-10, 10], [0, -15]])), dec.v)
-    True
+    >>> dec.s
+    IntegerMatrix.from_rows([[1, 0], [0, 30], [0, 0]])
     """
     nrows, ncols = m.rows, m.cols
     u = [{i: 1} for i in range(nrows)]
@@ -495,7 +442,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     return SmithDecomposition(
         s=_dense(a, ncols),
         u=_dense(u, nrows),
-        v=_dense(vt, ncols).transposed(),
+        v=_dense(_transpose(vt, ncols), ncols),
         divisors=divisors,
     )
 
@@ -590,79 +537,7 @@ def _divisor_chain(values) -> list[int]:
     return chain
 
 
-def _cofactor_determinant(rows: list[list[int]]) -> int:
-    """Recursive cofactor expansion along the first row.  Oracle use only."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        entry = rows[0][j]
-        if entry:
-            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-            total += sign * entry * _cofactor_determinant(minor)
-        sign = -sign
-    return total
-
-
-def minors_gcd_oracle(m: IntegerMatrix, k: int) -> int:
-    """gcd of all k x k minors of ``m``; 0 if every minor vanishes.
-
-    Computed straight from the definition, by enumerating all row and column
-    selections and expanding each determinant by cofactors.  This routine is
-    the independent reference for the Smith form: the product of the first k
-    diagonal entries equals this gcd.
-
-    >>> minors_gcd_oracle(IntegerMatrix.from_rows([[6, 0], [-10, 10], [0, -15]]), 2)
-    30
-    """
-    if k < 1 or k > min(m.rows, m.cols):
-        raise ValueError(f"minor order {k} outside 1..{min(m.rows, m.cols)}")
-    g = 0
-    for row_pick in itertools.combinations(range(m.rows), k):
-        for col_pick in itertools.combinations(range(m.cols), k):
-            sub = [[m[i, j] for j in col_pick] for i in row_pick]
-            g = math.gcd(g, _cofactor_determinant(sub))
-    return g
-
-
-def integer_determinant(m: IntegerMatrix) -> int:
-    """Exact determinant by the Bareiss fraction-free elimination."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: IntegerMatrix) -> bool:
-    """True when ``m`` is square with determinant +1 or -1."""
-    if m.rows != m.cols:
-        raise ValueError(f"unimodularity requires a square matrix, got {m.rows}x{m.cols}")
-    return integer_determinant(m) in (1, -1)
-
-
 _HEADER_RE = re.compile(r"rows\s+([0-9]+)\s+cols\s+([0-9]+)")
-# A stripped row whose tokens are all integers; ``\s`` is what ``str.split()`` splits at.
-_ROW_RE = re.compile(rf"{_INTEGER_RE.pattern}(?:\s+{_INTEGER_RE.pattern})*")
 
 
 def parse_matrix(text: str) -> IntegerMatrix:
@@ -670,10 +545,11 @@ def parse_matrix(text: str) -> IntegerMatrix:
 
     The first significant line is a header ``rows R cols C``; each following
     significant line carries the C entries of one row, whitespace separated.
-    Blank lines and lines starting with ``#`` are ignored.  A row is
-    checked with one whole-line pattern and converted by ``int``; only a row
-    the pattern rejects, or one with an entry past the interpreter's digit
-    limit, is read token by token to name its first bad entry.
+    Blank lines and lines starting with ``#`` are ignored.  A row's tokens
+    are checked by one character class over their concatenation and
+    converted by ``int``; only a row that either rejects, for a stray
+    character, a lone or misplaced sign or an entry past the interpreter's
+    digit limit, is read token by token to name its first bad entry.
     """
     lines = list(_significant_lines(text))
     if not lines:
@@ -698,11 +574,11 @@ def parse_matrix(text: str) -> IntegerMatrix:
         tokens = line.split()
         if len(tokens) != ncols:
             raise ParseError(lineno, f"expected {ncols} entries, found {len(tokens)}")
-        if _ROW_RE.fullmatch(line):
+        if _INTEGER_CHARS.fullmatch("".join(tokens)):
             try:
                 flat += map(int, tokens)
                 continue
-            except ValueError:  # past the digit limit; the token path below says so
+            except ValueError:  # a misplaced sign, or past the digit limit: the token path says so
                 pass
         flat.extend(_parse_int(token, lineno, "entry") for token in tokens)
     return IntegerMatrix(nrows, ncols, flat)

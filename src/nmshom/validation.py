@@ -62,6 +62,10 @@ class ParseError(ValueError):
 
 
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+# What integer tokens are made of.  Over these characters ``int`` takes exactly
+# ``_INTEGER_RE``, so it rejects the rest: a lone or misplaced sign.  The parsers
+# check many tokens at once by matching this class against their concatenation.
+_INTEGER_CHARS = re.compile(r"[0-9+-]*")
 
 
 def _parse_int(token: str, line: int, what: str, shown: str | None = None) -> int:

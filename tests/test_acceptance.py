@@ -21,8 +21,6 @@ from nmshom import (
     ValidationError,
     elementary_divisors,
     format_matrix,
-    is_unimodular,
-    minors_gcd_oracle,
     parse_flow_complex,
     parse_invariant,
     seifert_equivalent,
@@ -30,6 +28,7 @@ from nmshom import (
 )
 
 import conftest
+from oracles import is_unimodular, minors_gcd, multiply
 from randgen import random_invariant, random_matrix, random_zero_square_flow
 
 
@@ -110,7 +109,7 @@ def test_criterion_04_smith_prefix_products_match_minors_gcd():
         product = 1
         for k, d in enumerate(divisors, start=1):
             product *= d
-            if product != minors_gcd_oracle(m, k):
+            if product != minors_gcd(m, k):
                 ok = False
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 30.0
@@ -125,7 +124,7 @@ def test_criterion_05_witnesses_multiply_back_and_are_unimodular():
     ok = True
     for m in _snf_corpus():
         dec = smith_normal_form(m)
-        if dec.s != dec.u @ m @ dec.v:
+        if dec.s != multiply(multiply(dec.u, m), dec.v):
             ok = False
         if not (is_unimodular(dec.u) and is_unimodular(dec.v)):
             ok = False

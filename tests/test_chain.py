@@ -13,11 +13,11 @@ from nmshom import (
     SeifertInvariant,
     ValidationError,
     Violation,
-    matrix_multiply,
     parse_flow_complex,
 )
 from nmshom import linalg
 
+from oracles import multiply
 from randgen import random_conjugated_flow, random_matrix, random_zero_square_flow
 
 
@@ -278,7 +278,7 @@ def _dense_square_violations(c):
     """The d.d report the dense way: every nonzero of each full product, row-major."""
     found = []
     for k in range(1, c.top_degree):
-        product = matrix_multiply(c.boundary(k), c.boundary(k + 1))
+        product = multiply(c.boundary(k), c.boundary(k + 1))
         for i in range(product.rows):
             for j in range(product.cols):
                 if product[i, j]:
@@ -324,7 +324,7 @@ class TestConjugatedFlows:
             flow, groups = random_conjugated_flow(rng)
             c = flow.to_chain_complex()
             assert c.homology() == groups, (seed, flow.serialize())
-            assert all(not c.boundary(k).is_zero() for k in range(1, c.top_degree + 1))
+            assert all(any(map(any, c.boundary(k).to_rows())) for k in range(1, c.top_degree + 1))
             assert _dense_square_violations(c) == ()
 
             # Add a nonzero delta to one entry of one boundary; an entry that

@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -12,17 +13,22 @@ from nmshom import (
     ParseError,
     elementary_divisors,
     format_matrix,
-    integer_determinant,
-    is_unimodular,
-    matrix_multiply,
-    minors_gcd_oracle,
     parse_matrix,
     smith_normal_form,
 )
 from nmshom import linalg
-from nmshom.linalg import _cofactor_determinant, _isolate_nonzeros, _sparse_rows
+from nmshom.linalg import _isolate_nonzeros, _sparse_rows
 from nmshom.validation import _format_int
 
+from oracles import (
+    cofactor_determinant,
+    determinant,
+    identity,
+    is_unimodular,
+    minors_gcd,
+    multiply,
+    transpose,
+)
 from randgen import random_matrix, random_sparse_matrix, random_unimodular
 
 WITNESS_DIGEST = "cc2d747fb7b033aa410c1b4a7e88a201f86f6c7dd298f4fb8a0eea5a55d4b904"
@@ -34,12 +40,10 @@ class TestIntegerMatrix:
         assert (m.rows, m.cols) == (2, 3)
         assert m[0, 2] == 3
         assert m.row(1) == (4, 5, 6)
-        assert m.column(1) == (2, 5)
 
     def test_empty_shapes_are_legal(self):
         assert IntegerMatrix.zeros(0, 3).rows == 0
         assert IntegerMatrix.zeros(3, 0).cols == 0
-        assert IntegerMatrix(0, 0, []).is_zero()
 
     def test_entry_count_must_match(self):
         with pytest.raises(ValueError):
@@ -60,19 +64,17 @@ class TestIntegerMatrix:
             IntegerMatrix.from_rows([[1, 2], [3, 4]], cols=3)
 
     def test_out_of_range_access(self):
-        m = IntegerMatrix.identity(2)
+        m = identity(2)
         with pytest.raises(IndexError):
             m[2, 0]
         with pytest.raises(IndexError):
             m.row(-1)
-        with pytest.raises(IndexError):
-            m.column(2)
 
     def test_transpose_involution(self):
         rng = random.Random(7)
         for _ in range(25):
             m = random_matrix(rng)
-            assert m.transposed().transposed() == m
+            assert transpose(transpose(m)) == m
 
     def test_equality_and_hash(self):
         a = IntegerMatrix.from_rows([[1, 2]])
@@ -82,23 +84,26 @@ class TestIntegerMatrix:
 
 
 class TestMultiply:
+    """The product, identity and transpose oracles the Smith tests multiply with."""
+
     def test_identity_is_neutral(self):
         m = IntegerMatrix.from_rows([[2, 0], [-3, 3], [0, -5]])
-        assert matrix_multiply(IntegerMatrix.identity(3), m) == m
-        assert m @ IntegerMatrix.identity(2) == m
+        assert multiply(identity(3), m) == m
+        assert multiply(m, identity(2)) == m
 
     def test_known_product(self):
         a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
         b = IntegerMatrix.from_rows([[0, 1], [1, 0]])
-        assert (a @ b).to_rows() == [[2, 1], [4, 3]]
+        assert multiply(a, b).to_rows() == [[2, 1], [4, 3]]
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            matrix_multiply(IntegerMatrix.zeros(2, 3), IntegerMatrix.zeros(2, 3))
+            multiply(IntegerMatrix.zeros(2, 3), IntegerMatrix.zeros(2, 3))
 
     def test_empty_factors(self):
-        assert IntegerMatrix.zeros(0, 3) @ IntegerMatrix.zeros(3, 2) == IntegerMatrix.zeros(0, 2)
-        assert IntegerMatrix.zeros(2, 0) @ IntegerMatrix.zeros(0, 3) == IntegerMatrix.zeros(2, 3)
+        zeros = IntegerMatrix.zeros
+        assert multiply(zeros(0, 3), zeros(3, 2)) == zeros(0, 2)
+        assert multiply(zeros(2, 0), zeros(0, 3)) == zeros(2, 3)
 
     def test_associativity_sample(self):
         rng = random.Random(11)
@@ -107,7 +112,7 @@ class TestMultiply:
             inner, last = rng.randint(0, 3), rng.randint(0, 3)
             b = IntegerMatrix(a.cols, inner, [rng.randint(-5, 5) for _ in range(a.cols * inner)])
             c = IntegerMatrix(inner, last, [rng.randint(-5, 5) for _ in range(inner * last)])
-            assert (a @ b) @ c == a @ (b @ c)
+            assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
 
 class TestSmithNormalForm:
@@ -115,7 +120,7 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntegerMatrix.zeros(3, 2)).divisors == ()
 
     def test_identity(self):
-        assert smith_normal_form(IntegerMatrix.identity(2)).divisors == (1, 1)
+        assert smith_normal_form(identity(2)).divisors == (1, 1)
 
     def test_known_unimodular_columns(self):
         m = IntegerMatrix.from_rows([[2, 0], [-3, 3], [0, -5]])
@@ -132,12 +137,12 @@ class TestSmithNormalForm:
     def test_empty_matrix(self):
         dec = smith_normal_form(IntegerMatrix.zeros(0, 4))
         assert dec.divisors == ()
-        assert dec.u == IntegerMatrix.identity(0)
-        assert dec.v == IntegerMatrix.identity(4)
+        assert dec.u == identity(0)
+        assert dec.v == identity(4)
 
     def _check_decomposition(self, m):
         dec = smith_normal_form(m)
-        assert dec.s == dec.u @ m @ dec.v
+        assert dec.s == multiply(multiply(dec.u, m), dec.v)
         assert is_unimodular(dec.u) and is_unimodular(dec.v)
         # diagonal, nonnegative, divisibility chain, zeros trailing
         for i in range(dec.s.rows):
@@ -191,7 +196,7 @@ class TestSmithNormalForm:
         start = time.perf_counter()
         dec = smith_normal_form(m)
         assert time.perf_counter() - start < 60.0
-        assert dec.s == dec.u @ m @ dec.v
+        assert dec.s == multiply(multiply(dec.u, m), dec.v)
         nonzero = list(dec.divisors)
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
@@ -232,7 +237,7 @@ class TestSmithNormalForm:
         rng = random.Random(107)
         for _ in range(80):
             m = random_matrix(rng)
-            assert elementary_divisors(m) == elementary_divisors(m.transposed())
+            assert elementary_divisors(m) == elementary_divisors(transpose(m))
 
     def test_unimodular_invariance(self):
         rng = random.Random(109)
@@ -241,7 +246,7 @@ class TestSmithNormalForm:
             p = random_unimodular(rng, m.rows)
             q = random_unimodular(rng, m.cols)
             assert is_unimodular(p) and is_unimodular(q)
-            assert elementary_divisors(p @ m @ q) == elementary_divisors(m)
+            assert elementary_divisors(multiply(multiply(p, m), q)) == elementary_divisors(m)
 
 
 def _choice_matrix(rng, rows, cols, values):
@@ -253,7 +258,7 @@ def _divisor_corpus():
     rng = random.Random(163)
     corpus = [IntegerMatrix.zeros(0, n) for n in range(5)]
     corpus += [IntegerMatrix.zeros(n, 0) for n in range(1, 5)]
-    corpus += [IntegerMatrix.zeros(3, 5), IntegerMatrix.identity(4)]
+    corpus += [IntegerMatrix.zeros(3, 5), identity(4)]
     # zero and negative entries, rectangular and square
     corpus += [random_matrix(rng, max_rows=7, max_cols=7) for _ in range(300)]
     # entries sharing the primes 2 and 3, so the divisors interact
@@ -265,9 +270,8 @@ def _divisor_corpus():
     for _ in range(100):
         rows, cols = rng.randint(2, 7), rng.randint(2, 7)
         inner = rng.randint(1, min(rows, cols) - 1)
-        corpus.append(
-            _choice_matrix(rng, rows, inner, shared) @ _choice_matrix(rng, inner, cols, shared)
-        )
+        left = _choice_matrix(rng, rows, inner, shared)
+        corpus.append(multiply(left, _choice_matrix(rng, inner, cols, shared)))
     # isolated entries in scattered places, left for the scalar repair
     for _ in range(100):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
@@ -306,9 +310,9 @@ class TestDivisorsOnlyPath:
             product = 1
             for k, d in enumerate(divisors, start=1):
                 product *= d
-                assert product == minors_gcd_oracle(m, k)
+                assert product == minors_gcd(m, k)
             for k in range(len(divisors) + 1, min(m.rows, m.cols) + 1):
-                assert minors_gcd_oracle(m, k) == 0
+                assert minors_gcd(m, k) == 0
 
 
 class TestSparseCore:
@@ -340,29 +344,29 @@ class TestSparseCore:
             dec = smith_normal_form(m)
             divisors = elementary_divisors(m)
             assert divisors == list(dec.divisors), m
-            assert dec.s == dec.u @ m @ dec.v, m
+            assert dec.s == multiply(multiply(dec.u, m), dec.v), m
             if max(m.rows, m.cols) <= 7:
                 product = 1
                 for k in range(1, min(4, m.rows, m.cols) + 1):
                     product = product * divisors[k - 1] if k <= len(divisors) else 0
-                    assert minors_gcd_oracle(m, k) == product, (m, k)
+                    assert minors_gcd(m, k) == product, (m, k)
         assert 0 in bezout_xs  # the corpus reaches a Bezout step with x = 0
 
 
 class TestMinorsOracle:
     def test_known_values(self):
         m = IntegerMatrix.from_rows([[6, 0], [-10, 10], [0, -15]])
-        assert minors_gcd_oracle(m, 1) == 1
-        assert minors_gcd_oracle(m, 2) == 30
-        assert minors_gcd_oracle(IntegerMatrix.identity(3), 2) == 1
-        assert minors_gcd_oracle(IntegerMatrix.zeros(2, 2), 1) == 0
+        assert minors_gcd(m, 1) == 1
+        assert minors_gcd(m, 2) == 30
+        assert minors_gcd(identity(3), 2) == 1
+        assert minors_gcd(IntegerMatrix.zeros(2, 2), 1) == 0
 
     def test_order_out_of_range(self):
-        m = IntegerMatrix.identity(2)
+        m = identity(2)
         with pytest.raises(ValueError):
-            minors_gcd_oracle(m, 0)
+            minors_gcd(m, 0)
         with pytest.raises(ValueError):
-            minors_gcd_oracle(m, 3)
+            minors_gcd(m, 3)
 
     def test_agrees_with_smith_prefix_products(self):
         rng = random.Random(111)
@@ -372,10 +376,10 @@ class TestMinorsOracle:
             product = 1
             for k, d in enumerate(divisors, start=1):
                 product *= d
-                assert product == minors_gcd_oracle(m, k)
+                assert product == minors_gcd(m, k)
             # beyond the rank every minor vanishes
             for k in range(len(divisors) + 1, min(m.rows, m.cols) + 1):
-                assert minors_gcd_oracle(m, k) == 0
+                assert minors_gcd(m, k) == 0
 
 
 class TestDeterminant:
@@ -384,22 +388,22 @@ class TestDeterminant:
         for _ in range(120):
             n = rng.randint(1, 5)
             m = IntegerMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])
-            assert integer_determinant(m) == _cofactor_determinant(m.to_rows())
+            assert determinant(m) == cofactor_determinant(m.to_rows())
 
     def test_empty_determinant_is_one(self):
-        assert integer_determinant(IntegerMatrix.zeros(0, 0)) == 1
+        assert determinant(IntegerMatrix.zeros(0, 0)) == 1
 
     def test_unimodularity(self):
-        assert is_unimodular(IntegerMatrix.identity(3))
+        assert is_unimodular(identity(3))
         assert is_unimodular(IntegerMatrix.from_rows([[1, 5], [0, -1]]))
         assert not is_unimodular(IntegerMatrix.from_rows([[2, 0], [0, 1]]))
         singular = IntegerMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
-        assert integer_determinant(singular) == 0  # no pivot in the first column
+        assert determinant(singular) == 0  # no pivot in the first column
         assert not is_unimodular(singular)
         with pytest.raises(ValueError):
             is_unimodular(IntegerMatrix.zeros(2, 3))
         with pytest.raises(ValueError, match="square"):
-            integer_determinant(IntegerMatrix.zeros(2, 3))
+            determinant(IntegerMatrix.zeros(2, 3))
 
 
 class TestMatrixText:
@@ -462,6 +466,20 @@ class TestMatrixText:
         assert [_format_int(v) for v in values] == expected
         m = IntegerMatrix.from_rows([values[-2:]])
         assert format_matrix(m) == f"rows 1 cols 2\n{expected[-2]} {expected[-1]}\n"
+
+    def test_wide_row_parses_in_bounded_heap(self):
+        # measured 10.6 MB traced peak, 3.2 MB of it kept by the matrix (Python
+        # 3.11.7); keeping about 300 B per entry while checking, as a regex with
+        # a repeated group does, would pass 30 MB
+        text = "rows 1 cols 100000\n" + " ".join(str(i % 2000 - 1000) for i in range(100000))
+        tracemalloc.start()
+        try:
+            m = parse_matrix(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.row(0)[:3] == (-1000, -999, -998)
+        assert peak < 16 * 10**6
 
     def test_wrong_entry_count(self):
         with pytest.raises(ParseError) as err:

@@ -1,16 +1,15 @@
 """The flow and matrix parsers against the token-by-token reference readers.
 
 ``parse_flow_complex`` splits each line once and checks all ids and all
-integers of a document in bulk, and ``parse_matrix`` checks a row with one
-whole-line pattern; each reads a document or row token by token only when
-a bulk check rejects it.  On ``test_fuzz.py``'s mutated
+integers of a document in bulk, and ``parse_matrix`` checks all integers of
+a row in bulk; each reads a document or row token by token only when a bulk
+check rejects it.  On ``test_fuzz.py``'s mutated
 documents, with separators swapped for other Unicode whitespace, near-miss
 characters and integers past the digit limit spliced in and line ends
 rewritten, each parser must give what ``tokenparse``'s reader gives: equal
-records, or a ParseError with the same line and reason.  The last test pins
-the row pattern's token separator to exactly the characters ``str.split()``
-separates at, and holds the flow parser to the reference on record lines
-separated by each of them.
+records, or a ParseError with the same line and reason.  The last test holds
+both parsers to the reference on lines whose tokens are separated by each
+character ``str.split()`` separates at, and by near misses.
 """
 
 import random
@@ -19,7 +18,7 @@ import sys
 
 import pytest
 
-from nmshom import Incidence, Orbit, ParseError, linalg, parse_flow_complex, parse_matrix
+from nmshom import Incidence, Orbit, ParseError, parse_flow_complex, parse_matrix
 
 import tokenparse
 from test_fuzz import FLOWS, MATRICES, _mutate
@@ -132,22 +131,20 @@ def test_separators_of_a_well_formed_line_are_read_like_spaces(digit_limit):
 
 
 def test_line_patterns_separate_tokens_exactly_where_str_split_does():
-    # every separator of each line is the same character, for every code point
-    row = linalg._ROW_RE.fullmatch
-    spaces = []
-    for char in map(chr, range(0x110000)):
-        space = char.isspace()
-        assert (row(f"1{char}-2{char}+3") is not None) is space, hex(ord(char))
-        if space:
-            spaces.append(char)
-    # the flow parser has no line pattern; it splits lines, so it must read record
-    # lines separated by each of these characters as the token reference does
+    # neither parser has a line pattern; both split lines, so each must read lines
+    # whose separators are all one of these characters as the token reference does
+    spaces = [char for char in map(chr, range(0x110000)) if char.isspace()]
     for char in [*spaces, "\x1f", *NEAR_MISSES]:
-        text = (
+        flow = (
             f"format nmsflow 1\ndim 2\norbit{char}a{char}index{char}0\norbit b index 1\n"
             f"incidence{char}b{char}a{char}1\n"
         )
-        outcome = _outcome(parse_flow_complex, text)
-        assert outcome == _outcome(tokenparse.parse_flow, text), hex(ord(char))
-        if char in spaces and char not in "\n\r":  # a line ends only at \n or \r
-            assert outcome[0] == "parsed", hex(ord(char))
+        matrix = f"rows 1 cols 3\n1{char}-2{char}+3\n"
+        for parser, reference, text in [
+            (parse_flow_complex, tokenparse.parse_flow, flow),
+            (parse_matrix, tokenparse.parse_matrix, matrix),
+        ]:
+            outcome = _outcome(parser, text)
+            assert outcome == _outcome(reference, text), hex(ord(char))
+            if char in spaces and char not in "\n\r":  # a line ends only at \n or \r
+                assert outcome[0] == "parsed", hex(ord(char))

@@ -1,17 +1,21 @@
-"""The contract of nmshom's value records, and what importing the CLI loads.
+"""The contract of nmshom's value records, its public names, and what importing the CLI loads.
 
 Eight types carry values: Orbit, Incidence, Violation, ValidationReport,
 HomologyGroup, SeifertInvariant, SmithDecomposition and CommandResult.  Each
 keeps its field names, their order and defaults, its repr, equality and hash
-of equal records, and refuses assignment.
+of equal records, and refuses assignment.  The package exports a fixed list
+of names, and the checks of its Smith core live in ``tests/oracles.py``.
 """
 
+import ast
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nmshom
 from nmshom import (
     HomologyGroup,
     Incidence,
@@ -121,6 +125,64 @@ def test_differing_records_are_unequal():
     assert HomologyGroup(0, 1) != HomologyGroup(0, 2)
     assert SeifertInvariant(0, ((2, 1),)) != SeifertInvariant(0, ((2, -1),))
     assert Violation("a", "m") != Violation("a", "m", ("x",))
+
+
+def test_public_names():
+    assert nmshom.__all__ == [
+        "ChainComplex",
+        "HomologyGroup",
+        "IntegerMatrix",
+        "SmithDecomposition",
+        "elementary_divisors",
+        "format_matrix",
+        "parse_matrix",
+        "smith_normal_form",
+        "FlowComplex",
+        "Incidence",
+        "Orbit",
+        "parse_flow_complex",
+        "SeifertInvariant",
+        "boundary_matrix",
+        "format_invariant",
+        "parse_invariant",
+        "seifert_equivalent",
+        "ParseError",
+        "ValidationError",
+        "ValidationReport",
+        "Violation",
+        "__version__",
+    ]
+
+
+def test_oracles_live_outside_the_package():
+    """No module of nmshom defines the checks, and the checks take only IntegerMatrix from it."""
+    checks = {
+        "matrix_multiply",
+        "minors_gcd_oracle",
+        "_cofactor_determinant",
+        "integer_determinant",
+        "is_unimodular",
+        # IntegerMatrix methods that only the checks used
+        "identity",
+        "column",
+        "transposed",
+        "is_zero",
+        "__matmul__",
+    }
+    for path in sorted(Path(nmshom.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                assert node.name not in checks, (path.name, node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id not in checks, (path.name, node.id)
+    oracles = Path(__file__).resolve().parent / "oracles.py"
+    taken = set()
+    for node in ast.walk(ast.parse(oracles.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "nmshom":
+            taken.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "nmshom" for alias in node.names)
+    assert taken == {("nmshom", "IntegerMatrix")}
 
 
 def test_cli_import_loads_no_heavy_modules():

@@ -118,6 +118,11 @@ MALFORMED = (
     ("matrix-non-integer-entry", "matrix", "rows 2 cols 1\n4\nx\n"),
     ("matrix-underscore-entry", "matrix", "rows 1 cols 2\n4 1_0\n"),
     ("matrix-too-long-entry", "matrix", f"rows 1 cols 2\n1 {_LONG}\n"),
+    ("matrix-lone-plus", "matrix", "rows 1 cols 2\n4 +\n"),
+    ("matrix-lone-minus", "matrix", "rows 1 cols 2\n- 4\n"),
+    ("matrix-inner-sign", "matrix", "rows 1 cols 2\n4 1-2\n"),
+    ("matrix-double-sign", "matrix", "rows 1 cols 2\n+-3 4\n"),
+    ("matrix-trailing-sign", "matrix", "rows 1 cols 2\n4 3+\n"),
     ("matrix-other-separators", "matrix", "rows 2 cols 2\r\n1\x1c2\r\n3\u3000-4\r\n"),
     ("matrix-cr-line-ends", "matrix", "rows 1 cols 2\r3\u20286\r"),
 )
