@@ -2,16 +2,14 @@
 
 A complex stores one rank per degree 0..top_degree and one boundary map per
 degree 1..top_degree; the boundary below degree 0 and above the top are zero
-maps.  Each boundary is kept in the Smith core's sparse row format: row i of
-d_k is a dict from column to nonzero entry, for generator i in degree k-1.
-A flow's boundaries are its incidence lists, so this storage is as large as
-the incidences, not as the dense grid.  The d.d = 0 check multiplies row by
-row over those nonzeros, so its cost is proportional to the number of
-nonzero products a_ik * b_kj rather than to the product's shape.  A dense
-:class:`~nmshom.linalg.IntegerMatrix` is built only on request, by
-:meth:`ChainComplex.boundary`.  :meth:`ChainComplex.homology` builds none: it
-hands the rows of each d_k to the sparse Smith core, which reduces a copy.
-The free rank is ranks[k] - rank(d_k) - rank(d_{k+1}) and the torsion is the
+maps.  Each boundary is kept as the nonzero rows of an
+:class:`~nmshom.linalg.IntegerMatrix`, so a flow's boundaries cost as much
+as its incidences, not as the dense grid.  The d.d = 0 check multiplies row
+by row over those nonzeros, so its cost is proportional to the number of
+nonzero products a_ik * b_kj rather than to the product's shape.
+:meth:`ChainComplex.boundary` wraps the rows as a matrix without a copy, and
+:meth:`ChainComplex.homology` hands each d_k to the sparse Smith core.  The
+free rank is ranks[k] - rank(d_k) - rank(d_{k+1}) and the torsion is the
 list of elementary divisors of d_{k+1} that exceed 1.
 """
 
@@ -19,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .linalg import IntegerMatrix, _dense, _row_divisors, _sparse_rows
+from .linalg import IntegerMatrix, elementary_divisors
 from .validation import ValidationError, ValidationReport, Violation, _format_int
 
 __all__ = ["HomologyGroup", "ChainComplex"]
@@ -76,9 +74,9 @@ class ChainComplex:
 
     ``boundaries[k - 1]`` is the matrix of d_k, of shape ranks[k-1] x
     ranks[k]; column j gives the boundary of generator j in degree k.  The
-    complex keeps only the nonzero entries of each row, so a sparse
-    boundary costs memory in proportion to its nonzeros, and
-    :meth:`boundary` builds a dense matrix each time it is called.
+    complex keeps each matrix's nonzero rows, so a sparse boundary costs
+    memory in proportion to its nonzeros, and :meth:`boundary` wraps them
+    as a matrix again in constant time.
     Construction checks shapes and label uniqueness only; whether the
     boundary condition d.d = 0 holds is reported separately by
     :meth:`check_boundary_condition` so that defective complexes can still
@@ -128,7 +126,7 @@ class ChainComplex:
                 if len(set(degree_labels)) != len(degree_labels):
                     raise ValueError(f"duplicate generator labels in degree {k}")
         self._ranks = ranks
-        self._rows = tuple(map(_sparse_rows, boundaries))
+        self._rows = tuple(matrix._nonzero for matrix in boundaries)
         self._labels = labels
         self._square_report: ValidationReport | None = None
 
@@ -136,17 +134,17 @@ class ChainComplex:
     def _from_rows(cls, ranks, rows, generator_labels) -> "ChainComplex":
         """Build from sparse rows that the caller has already checked.
 
-        ``rows[k - 1]`` holds the ranks[k-1] rows of d_k, and row i is a
-        dict from column (inside 0..ranks[k] - 1) to the nonzero entry in
-        row i of d_k.  The complex takes the dicts over, so the caller must
-        not change them afterwards; each degree's list becomes a tuple, so
-        an empty degree keeps nothing.  Shapes and label uniqueness are not
-        checked again; flow assembly, which validates both, is the one
-        caller.
+        ``rows[k - 1]`` holds the nonzero rows of d_k in the storage of
+        :class:`~nmshom.linalg.IntegerMatrix`: a dict from row index, in
+        ascending order, to the row's dict from column (inside
+        0..ranks[k] - 1) to nonzero entry.  The complex takes the dicts
+        over, so the caller must not change them afterwards.  Shapes and
+        label uniqueness are not checked again; flow assembly, which
+        validates both, is the one caller.
         """
         complex_ = cls.__new__(cls)
         complex_._ranks = tuple(ranks)
-        complex_._rows = tuple(map(tuple, rows))
+        complex_._rows = tuple(rows)
         complex_._labels = tuple(map(tuple, generator_labels))
         complex_._square_report = None
         return complex_
@@ -164,40 +162,36 @@ class ChainComplex:
         return self._labels
 
     def boundary(self, k: int) -> IntegerMatrix:
-        """Matrix of d_k, built densely on each call; the maps off either end are zero."""
+        """Matrix of d_k, wrapping the stored rows; the maps off either end are zero."""
         if not 0 <= k <= self.top_degree + 1:
             raise ValueError(
                 f"no boundary in degree {k}; valid degrees are 0..{self.top_degree + 1}"
             )
-        if 1 <= k <= self.top_degree:
-            return _dense(self._rows[k - 1], self._ranks[k])
         rows = self._ranks[k - 1] if k else 0
         cols = self._ranks[k] if k <= self.top_degree else 0
-        return IntegerMatrix.zeros(rows, cols)
+        return IntegerMatrix._of(rows, cols, self._rows[k - 1] if rows and cols else {})
 
     def check_boundary_condition(self) -> ValidationReport:
         """Report every nonzero entry of d_k . d_(k+1), with generator labels.
 
         Row i of the product is the sum of a * (row m of d_(k+1)) over the
         nonzeros a = (d_k)_im of row i, so the work is the number of nonzero
-        products, and a degree whose d_(k+1) has no nonzero costs one pass
-        over its empty rows; violations come in row-major order (target row,
-        then source column) for each k in turn.
+        products, and a degree whose d_(k+1) has no nonzero costs nothing;
+        violations come in row-major order (target row, then source column)
+        for each k in turn.
         """
         if self._square_report is not None:
             return self._square_report
         violations = []
         for k in range(1, self.top_degree):
             upper = self._rows[k]
-            if not any(upper):  # d_(k+1) = 0, so d_k . d_(k+1) = 0 too
+            if not upper:  # d_(k+1) = 0, so d_k . d_(k+1) = 0 too
                 continue
-            for i, row in enumerate(self._rows[k - 1]):
+            for i, row in self._rows[k - 1].items():
                 sums: dict[int, int] = {}
                 for m, a in row.items():
-                    for j, b in upper[m].items():
+                    for j, b in upper[m].items() if m in upper else ():
                         sums[j] = sums.get(j, 0) + a * b
-                if not sums:
-                    continue
                 for j in sorted(sums):
                     if not sums[j]:
                         continue
@@ -220,8 +214,8 @@ class ChainComplex:
     def homology(self) -> list[HomologyGroup]:
         """Homology in every degree 0..top_degree.
 
-        The stored rows of each d_k go to the sparse Smith core, which
-        reduces a copy for their elementary divisors; no dense matrix is
+        Each d_k goes to :func:`~nmshom.linalg.elementary_divisors`, whose
+        sparse core reduces a copy of its nonzero rows; no dense matrix is
         built, so the cost follows the nonzeros.  Raises ValidationError
         when the boundary condition fails; homology is undefined for such
         data.
@@ -235,8 +229,8 @@ class ChainComplex:
             raise ValidationError(report, "boundary condition d.d = 0 fails")
         # divisors[k] belongs to d_k; d_0 and d_(top+1) are zero maps
         divisors = [[]]
-        for k, rows in enumerate(self._rows, start=1):
-            divisors.append(_row_divisors(rows, self._ranks[k]))
+        for k in range(1, len(self._ranks)):
+            divisors.append(elementary_divisors(self.boundary(k)))
         divisors.append([])
         return [
             HomologyGroup(

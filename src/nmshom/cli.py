@@ -128,16 +128,16 @@ def cmd_snf(path: str, witness: bool = False) -> CommandResult:
     decomposition = smith_normal_form(parsed) if witness else None
     divisors = decomposition.divisors if witness else elementary_divisors(parsed)
     divisor_text = " ".join(map(_format_int, divisors))
-    human = f"elementary divisors: {divisor_text or '(none)'}"
+    lines = [f"elementary divisors: {divisor_text or '(none)'}"]
     if witness:
         for label, matrix in (
             ("u", decomposition.u),
             ("s", decomposition.s),
             ("v", decomposition.v),
         ):
-            human += f"\n{label} =\n" + format_matrix(matrix).rstrip("\n")
+            lines += (f"{label} =", *format_matrix(matrix).splitlines())
     record = "snf" + (f" {divisor_text}" if divisor_text else "")
-    return CommandResult(0, human, (record,))
+    return CommandResult(0, "\n".join(lines), (record,))
 
 
 @_guard

@@ -300,20 +300,21 @@ class FlowComplex:
             position[orbit_id] = (index, len(ids))
             ids.append(orbit_id)
 
-        # Only occupied degrees get lists; the empty ones share (), so a large
-        # dimension costs a slot per degree in each of labels, ranks and rows.
+        # Only occupied degrees get their own labels and rows; the empty ones share
+        # () and {}, so a large dimension costs a slot per degree in each of them.
         labels: list = [()] * self._dimension
-        # Row i of d_k maps j to the nonzero coefficient of the i-th
-        # index-(k-1) orbit in the boundary of the j-th index-k orbit.
-        rows: list = [()] * (self._dimension - 1)
         for k, ids in by_degree.items():
             labels[k] = ids
-            if k < self._dimension - 1:
-                rows[k] = [{} for _ in ids]
+        # Row i of d_k maps j to the nonzero coefficient of the i-th
+        # index-(k-1) orbit in the boundary of the j-th index-k orbit.
+        built = {k: [{} for _ in ids] for k, ids in by_degree.items() if k < self._dimension - 1}
         for upper, lower, coefficient in self._incidences:
             if coefficient:
                 k, j = position[upper]
-                rows[k - 1][position[lower][1]][j] = coefficient
+                built[k - 1][position[lower][1]][j] = coefficient
+        rows: list = [{}] * (self._dimension - 1)
+        for k, degree_rows in built.items():
+            rows[k] = {i: row for i, row in enumerate(degree_rows) if row}
 
         complex_ = ChainComplex._from_rows(tuple(map(len, labels)), rows, labels)
         square_report = complex_.check_boundary_condition()

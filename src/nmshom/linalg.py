@@ -43,11 +43,17 @@ __all__ = [
 ]
 
 
-class IntegerMatrix:
-    """Immutable dense matrix over the integers, row-major storage.
+_Row = dict[int, int]
+_Rows = list[_Row]
 
-    Zero rows or columns are legal; a 0 x n matrix has no entries but still
-    remembers both dimensions.
+
+class IntegerMatrix:
+    """Immutable matrix over the integers, stored in the Smith core's row format.
+
+    That is a dict from each nonzero row's index, ascending, to the row's
+    dict from column to nonzero entry, so zeros cost nothing.  Zero rows or
+    columns are legal; a 0 x n matrix has no entries but still remembers
+    both dimensions.
 
     >>> m = IntegerMatrix.from_rows([[2, 0], [-3, 3], [0, -5]])
     >>> m.rows, m.cols
@@ -58,21 +64,24 @@ class IntegerMatrix:
     (0, -5)
     """
 
-    __slots__ = ("_rows", "_cols", "_entries")
+    __slots__ = ("_rows", "_cols", "_nonzero")
 
     def __init__(self, rows: int, cols: int, entries=()):
-        rows = operator.index(rows)
-        cols = operator.index(cols)
-        if rows < 0 or cols < 0:
-            raise ValueError(f"matrix dimensions must be nonnegative, got {rows}x{cols}")
+        rows, cols = _dimensions(rows, cols)
         flat = tuple(map(operator.index, entries))
         if len(flat) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(flat)}"
             )
-        self._rows = rows
-        self._cols = cols
-        self._entries = flat
+        self._rows, self._cols = rows, cols
+        self._nonzero = _nonzero_rows(flat[k : k + cols] for k in range(0, len(flat), cols or 1))
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, nonzero: dict[int, _Row]) -> "IntegerMatrix":
+        """Wrap ``nonzero``, in the storage above, unchecked; the caller must not change it."""
+        m = cls.__new__(cls)
+        m._rows, m._cols, m._nonzero = rows, cols, nonzero
+        return m
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntegerMatrix":
@@ -90,7 +99,7 @@ class IntegerMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls._of(*_dimensions(rows, cols), {})
 
     @property
     def rows(self) -> int:
@@ -101,15 +110,19 @@ class IntegerMatrix:
         return self._cols
 
     def __getitem__(self, key) -> int:
-        i, j = key
+        i, j = map(operator.index, key)
         if not (0 <= i < self._rows and 0 <= j < self._cols):
             raise IndexError(f"index ({i}, {j}) outside {self._rows}x{self._cols} matrix")
-        return self._entries[i * self._cols + j]
+        return self._nonzero.get(i, {}).get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
+        i = operator.index(i)
         if not 0 <= i < self._rows:
             raise IndexError(f"row {i} outside {self._rows}x{self._cols} matrix")
-        return self._entries[i * self._cols : (i + 1) * self._cols]
+        dense = [0] * self._cols
+        for j, e in self._nonzero.get(i, {}).items():
+            dense[j] = e
+        return tuple(dense)
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self._rows)]
@@ -117,19 +130,28 @@ class IntegerMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
-        return (
-            self._rows == other._rows
-            and self._cols == other._cols
-            and self._entries == other._entries
-        )
+        return (self._rows, self._cols, self._nonzero) == (other._rows, other._cols, other._nonzero)
 
     def __hash__(self) -> int:
-        return hash((self._rows, self._cols, self._entries))
+        rows = frozenset((i, frozenset(row.items())) for i, row in self._nonzero.items())
+        return hash((self._rows, self._cols, rows))
 
     def __repr__(self) -> str:
         if self._rows == 0 or self._cols == 0:
             return f"IntegerMatrix.zeros({self._rows}, {self._cols})"
         return f"IntegerMatrix.from_rows({self.to_rows()!r})"
+
+
+def _nonzero_rows(rows) -> dict[int, _Row]:
+    """The storage of :class:`IntegerMatrix` for these sequences of entries, one per row."""
+    return {i: nz for i, row in enumerate(rows) if (nz := {j: e for j, e in enumerate(row) if e})}
+
+
+def _dimensions(rows: int, cols: int) -> tuple[int, int]:
+    rows, cols = operator.index(rows), operator.index(cols)
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix dimensions must be nonnegative, got {rows}x{cols}")
+    return rows, cols
 
 
 class SmithDecomposition(NamedTuple):
@@ -148,10 +170,6 @@ class SmithDecomposition(NamedTuple):
     @property
     def rank(self) -> int:
         return len(self.divisors)
-
-
-_Row = dict[int, int]
-_Rows = list[_Row]
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -362,29 +380,16 @@ def _isolate_nonzeros(a: _Rows, u: _Rows | None, vt: _Rows | None, ncols=None) -
         a = _transpose(a, width)
 
 
-def _sparse_rows(m: IntegerMatrix) -> _Rows:
-    """The rows of ``m`` as dicts from column to nonzero entry."""
-    return [{j: e for j, e in enumerate(m.row(i)) if e} for i in range(m.rows)]
-
-
-def _dense(rows: _Rows, ncols: int) -> IntegerMatrix:
-    flat = [0] * (len(rows) * ncols)
-    for i, row in enumerate(rows):
-        for j, value in row.items():
-            flat[i * ncols + j] = value
-    return IntegerMatrix(len(rows), ncols, flat)
-
-
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """Diagonalize ``m`` over the integers with unimodular witnesses.
 
     The diagonal of ``s`` is nonnegative and each entry divides the next;
     trailing entries are zero.  The reduction alternates row and column
     echelon sweeps of exact-division, balancing and Bezout steps, which keep
-    intermediate values near the size of the final divisors.  It runs on
-    sparse rows, and so do the witnesses u and v^T, which start as the
-    identity; a dense matrix is built only for the three results.  This is
-    the witness path: every operation is recorded in ``u`` and ``v``, and
+    intermediate values near the size of the final divisors.  It runs on the
+    rows of ``m``, and so do the witnesses u and v^T, which start as the
+    identity; the three results wrap the rows the core leaves.  This is the
+    witness path: every operation is recorded in ``u`` and ``v``, and
     :func:`elementary_divisors` runs the same sweeps without them.  Every
     step follows a fixed rule, so the run is fully deterministic.
 
@@ -397,7 +402,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     nrows, ncols = m.rows, m.cols
     u = [{i: 1} for i in range(nrows)]
     vt = [{j: 1} for j in range(ncols)]
-    a = _isolate_nonzeros(_sparse_rows(m), u, vt)
+    a = _isolate_nonzeros([dict(m._nonzero.get(i, {})) for i in range(nrows)], u, vt)
 
     # Gather the isolated entries onto the leading diagonal.
     rank = sum(1 for row in a if row)
@@ -438,12 +443,14 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
             a[i][i], a[j][j] = g, di // g * dj
             changed = True
 
-    divisors = tuple(a[i][i] for i in range(rank))
+    def wrap(rows: _Rows, width: int) -> IntegerMatrix:
+        return IntegerMatrix._of(len(rows), width, {i: row for i, row in enumerate(rows) if row})
+
     return SmithDecomposition(
-        s=_dense(a, ncols),
-        u=_dense(u, nrows),
-        v=_dense(_transpose(vt, ncols), ncols),
-        divisors=divisors,
+        s=wrap(a, ncols),
+        u=wrap(u, nrows),
+        v=wrap(_transpose(vt, ncols), ncols),
+        divisors=tuple(a[i][i] for i in range(rank)),
     )
 
 
@@ -451,9 +458,10 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     """Nonzero Smith diagonal of ``m``, ascending under divisibility.
 
     This is the divisors-only path: it runs the echelon sweeps of
-    :func:`smith_normal_form` on the sparse rows of ``m`` with no witness
-    rows, then puts the isolated nonzeros into a divisibility chain as
-    scalars.  The Smith diagonal is unique, so the result equals
+    :func:`smith_normal_form` on a copy of the nonzero rows of ``m``, with
+    no witness rows (a matrix with no nonzero row never reaches the core),
+    then puts the isolated nonzeros into a divisibility chain as scalars.
+    The Smith diagonal is unique, so the result equals
     ``smith_normal_form(m).divisors``.
 
     >>> elementary_divisors(IntegerMatrix.from_rows([[2], [-4]]))
@@ -463,21 +471,9 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     >>> elementary_divisors(IntegerMatrix.zeros(3, 2))
     []
     """
-    if not (m.rows and m.cols):
+    if not m._nonzero:
         return []
-    return _row_divisors(_sparse_rows(m), m.cols)
-
-
-def _row_divisors(rows: _Rows, ncols: int) -> list[int]:
-    """:func:`elementary_divisors` of the matrix with these sparse rows and ``ncols`` columns.
-
-    The core reduces a copy of the nonzero rows, so ``rows`` is left as it
-    was; with no nonzero row the core is not called at all.
-    """
-    a = [dict(row) for row in rows if row]
-    if not a:
-        return []
-    a = _isolate_nonzeros(a, None, None, ncols)
+    a = _isolate_nonzeros([dict(row) for row in m._nonzero.values()], None, None, m.cols)
     return _divisor_chain(e for row in a for e in row.values())
 
 
@@ -569,24 +565,29 @@ def parse_matrix(text: str) -> IntegerMatrix:
         )
     if len(body) > expected_lines:
         raise ParseError(body[expected_lines][0], "unexpected content after the last matrix row")
-    flat: list[int] = []
-    for lineno, line in body:
-        tokens = line.split()
-        if len(tokens) != ncols:
-            raise ParseError(lineno, f"expected {ncols} entries, found {len(tokens)}")
-        if _INTEGER_CHARS.fullmatch("".join(tokens)):
-            try:
-                flat += map(int, tokens)
-                continue
-            except ValueError:  # a misplaced sign, or past the digit limit: the token path says so
-                pass
-        flat.extend(_parse_int(token, lineno, "entry") for token in tokens)
-    return IntegerMatrix(nrows, ncols, flat)
+    entries = (_row_entries(line, lineno, ncols) for lineno, line in body)
+    return IntegerMatrix._of(nrows, ncols, _nonzero_rows(entries))
+
+
+def _row_entries(line: str, lineno: int, ncols: int) -> list[int]:
+    """The ``ncols`` integers of a row line; returning frees its tokens before the row's dict."""
+    tokens = line.split()
+    if len(tokens) != ncols:
+        raise ParseError(lineno, f"expected {ncols} entries, found {len(tokens)}")
+    if _INTEGER_CHARS.fullmatch("".join(tokens)):
+        try:
+            return list(map(int, tokens))
+        except ValueError:  # a misplaced sign, or past the digit limit: the token path says so
+            pass
+    return [_parse_int(token, lineno, "entry") for token in tokens]
 
 
 def format_matrix(m: IntegerMatrix) -> str:
     """Render in the same text format :func:`parse_matrix` reads."""
     lines = [f"rows {m.rows} cols {m.cols}"]
-    if m.cols:
-        lines.extend(" ".join(map(_format_int, m.row(i))) for i in range(m.rows))
-    return "\n".join(lines) + "\n"
+    for i in range(m.rows if m.cols else 0):
+        tokens = ["0"] * m.cols
+        for j, e in m._nonzero.get(i, {}).items():
+            tokens[j] = _format_int(e)
+        lines.append(" ".join(tokens))
+    return "\n".join([*lines, ""])  # appending the last newline would copy the text

@@ -177,11 +177,11 @@ def boundary_matrix(invariant: SeifertInvariant) -> IntegerMatrix:
     invariant._require_valid()
     alphas = [alpha for alpha, _ in invariant.pairs]
     m = len(alphas)
-    rows = [[0] * (m - 1) for _ in range(m)]
+    rows: dict[int, dict[int, int]] = {}
     for j in range(m - 1):
-        rows[j][j] = alphas[j]
-        rows[j + 1][j] = -alphas[j + 1]
-    return IntegerMatrix.from_rows(rows, cols=m - 1)
+        rows.setdefault(j, {})[j] = alphas[j]
+        rows[j + 1] = {j: -alphas[j + 1]}
+    return IntegerMatrix._of(m, m - 1, rows)
 
 
 def seifert_equivalent(first: SeifertInvariant, second: SeifertInvariant) -> bool:

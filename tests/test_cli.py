@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -199,27 +200,49 @@ class TestSnfCommand:
         result = cmd_snf(_write(tmp_path, "m.txt", "rows 1 cols 1\nx\n"))
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("header", ["rows 100000 cols 0", "rows 0 cols 100000"])
+    @pytest.mark.parametrize(
+        "header", ["rows 100000 cols 0", "rows 0 cols 100000", "rows 1000000000000 cols 0"]
+    )
     def test_entry_less_matrix_reduces_nothing(self, tmp_path, monkeypatch, header):
-        # no entries, no divisors: the answer comes before any per-row allocation,
-        # so neither the core nor the sparse row builder runs
+        # no entries, no divisors: the answer comes before any per-row
+        # allocation, so the core never runs and the heap stays flat
+        # (measured 5 kB traced peak for each header, Python 3.11.7)
         calls = []
 
         def counting(a, *args):
             calls.append(len(a))
             return isolate(a, *args)
 
-        def counting_rows(m):
-            calls.append((m.rows, m.cols))
-            return sparse_rows(m)
-
-        isolate, sparse_rows = linalg._isolate_nonzeros, linalg._sparse_rows
+        isolate = linalg._isolate_nonzeros
         monkeypatch.setattr(linalg, "_isolate_nonzeros", counting)
-        monkeypatch.setattr(linalg, "_sparse_rows", counting_rows)
-        result = cmd_snf(_write(tmp_path, "m.txt", header + "\n"))
+        path = _write(tmp_path, "m.txt", header + "\n")
+        tracemalloc.start()
+        try:
+            result = cmd_snf(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert (result.exit_code, result.machine_lines) == (0, ("snf",))
         assert result.human_text == "elementary divisors: (none)"
         assert calls == []
+        assert peak < 10**5
+
+    def test_entry_less_witness_in_bounded_heap(self, tmp_path):
+        # u is the 3000 x 3000 identity: 18 MB of text.  Measured 37.2 MB
+        # traced peak (Python 3.11.7); a dense copy of u costs 72 MB more, and
+        # the heap peaked at 153.6 MB when the matrices were stored densely.
+        path = _write(tmp_path, "m.txt", "rows 3000 cols 0\n")
+        tracemalloc.start()
+        try:
+            result = cmd_snf(path, witness=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = result.human_text.split("\n")
+        assert lines[:3] == ["elementary divisors: (none)", "u =", "rows 3000 cols 3000"]
+        assert lines[3] == " ".join(["1"] + ["0"] * 2999)
+        assert lines[-4:] == ["s =", "rows 3000 cols 0", "v =", "rows 0 cols 0"]
+        assert peak < 40 * 10**6
 
 
 class TestSeifertCommands:

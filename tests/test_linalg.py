@@ -17,7 +17,7 @@ from nmshom import (
     smith_normal_form,
 )
 from nmshom import linalg
-from nmshom.linalg import _isolate_nonzeros, _sparse_rows
+from nmshom.linalg import _isolate_nonzeros
 from nmshom.validation import _format_int
 
 from oracles import (
@@ -44,6 +44,15 @@ class TestIntegerMatrix:
     def test_empty_shapes_are_legal(self):
         assert IntegerMatrix.zeros(0, 3).rows == 0
         assert IntegerMatrix.zeros(3, 0).cols == 0
+
+    def test_zeros_allocates_nothing_per_entry(self):
+        m = IntegerMatrix.zeros(10**6, 10**6)
+        assert (m.rows, m.cols, m[999_999, 999_999]) == (10**6, 10**6, 0)
+        assert m == IntegerMatrix.zeros(10**6, 10**6) != IntegerMatrix.zeros(10**6, 1)
+        with pytest.raises(ValueError):
+            IntegerMatrix.zeros(-1, 2)
+        with pytest.raises(TypeError):
+            IntegerMatrix.zeros(2, 1.5)
 
     def test_entry_count_must_match(self):
         with pytest.raises(ValueError):
@@ -296,7 +305,8 @@ class TestDivisorsOnlyPath:
                 ([{i: 1} for i in range(m.rows)], [{j: 1} for j in range(m.cols)]),
                 ([{} for _ in range(m.rows)], [{} for _ in range(m.cols)]),
             ):
-                a = _isolate_nonzeros(_sparse_rows(m), u, vt)
+                rows = [{j: e for j, e in enumerate(m.row(i)) if e} for i in range(m.rows)]
+                a = _isolate_nonzeros(rows, u, vt)
                 assert len(a) == m.rows and all(0 <= j < m.cols for row in a for j in row), m
                 assert all(len(row) <= 1 for row in a), m
                 assert all(sum(1 for row in a if j in row) <= 1 for j in range(m.cols)), m
@@ -468,9 +478,10 @@ class TestMatrixText:
         assert format_matrix(m) == f"rows 1 cols 2\n{expected[-2]} {expected[-1]}\n"
 
     def test_wide_row_parses_in_bounded_heap(self):
-        # measured 10.6 MB traced peak, 3.2 MB of it kept by the matrix (Python
-        # 3.11.7); keeping about 300 B per entry while checking, as a regex with
-        # a repeated group does, would pass 30 MB
+        # measured 14.0 MB traced peak, 10.5 MB of it kept by the matrix's row
+        # dict (Python 3.11.7); keeping the row's tokens while that dict is
+        # built peaks near 20 MB, and keeping about 300 B per entry while
+        # checking, as a regex with a repeated group does, would pass 30 MB
         text = "rows 1 cols 100000\n" + " ".join(str(i % 2000 - 1000) for i in range(100000))
         tracemalloc.start()
         try:
