@@ -192,7 +192,7 @@ class ChainComplex:
                 for m, a in row.items():
                     for j, b in upper[m].items() if m in upper else ():
                         sums[j] = sums.get(j, 0) + a * b
-                for j in sorted(sums):
+                for j in sorted(sums) if any(sums.values()) else ():  # d.d = 0 sorts nothing
                     if not sums[j]:
                         continue
                     value = _format_int(sums[j])

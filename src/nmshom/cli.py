@@ -128,16 +128,12 @@ def cmd_snf(path: str, witness: bool = False) -> CommandResult:
     decomposition = smith_normal_form(parsed) if witness else None
     divisors = decomposition.divisors if witness else elementary_divisors(parsed)
     divisor_text = " ".join(map(_format_int, divisors))
-    lines = [f"elementary divisors: {divisor_text or '(none)'}"]
-    if witness:
-        for label, matrix in (
-            ("u", decomposition.u),
-            ("s", decomposition.s),
-            ("v", decomposition.v),
-        ):
-            lines += (f"{label} =", *format_matrix(matrix).splitlines())
+    text = f"elementary divisors: {divisor_text or '(none)'}"
+    if witness:  # each matrix text ends in a newline; the last one's is left to the printer
+        u, s, v = map(format_matrix, (decomposition.u, decomposition.s, decomposition.v))
+        text = "".join((text, "\nu =\n", u, "s =\n", s, "v =\n", v[:-1]))
     record = "snf" + (f" {divisor_text}" if divisor_text else "")
-    return CommandResult(0, "\n".join(lines), (record,))
+    return CommandResult(0, text, (record,))
 
 
 @_guard

@@ -25,12 +25,13 @@ Orbit ids are words over [A-Za-z0-9_].  ``incidence U L c`` records the net
 coefficient c of lower orbit L in the boundary of upper orbit U; pairs not
 listed have coefficient 0.
 
-:func:`parse_flow_complex` splits each line after the header once.  If the
-lines are well-formed records and one ``dim`` line, one match over the
-concatenated ids and one over the concatenated integers check their
-characters, and ``int`` converts the integers.  If any of that fails, the
-document is read again token by token, by the checks that name the first
-fault in a ParseError.  The parser keeps plain tuples; the records
+:func:`parse_flow_complex` splits each line of ``validation._lines`` after
+the header once, in one loop that skips blanks and comments and collects ids
+and integers in flat lists.  If the lines are well-formed records and one
+``dim`` line, one match over the concatenated ids and one over the integers
+check their characters, and ``int`` converts the integers.  If any of that
+fails, the lines are read again token by token, by the checks that name the
+first fault in a ParseError.  The parser keeps plain tuples; the records
 :class:`Orbit` and :class:`Incidence`, which :class:`FlowComplex` takes, are
 made from them when :attr:`FlowComplex.orbits` or
 :attr:`FlowComplex.incidences` is first read.
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 from .chain import ChainComplex
 from .validation import ParseError, ValidationError, ValidationReport, Violation
-from .validation import _INTEGER_CHARS, _parse_int, _significant_lines
+from .validation import _INTEGER_CHARS, _lines, _parse_int
 
 __all__ = ["Orbit", "Incidence", "FlowComplex", "parse_flow_complex"]
 
@@ -339,31 +340,33 @@ def _checked_id(token: str, lineno: int) -> str:
     return token
 
 
-def _read_well_formed(lines) -> FlowComplex | None:
+def _read_well_formed(body: list[str]) -> FlowComplex | None:
     """The flow of a body of well-formed records and one dim line; None for any other body.
 
     Ids and integers are each checked by one character class over their concatenation;
     a pattern with a repeated group would keep a backtracking entry per token.
     """
-    dim, orbits, incidences = None, [], []
-    for _, line in lines:
-        tokens = line.split()
+    dim, ids, indices, uppers, lowers, coefficients = None, [], [], [], [], []
+    for tokens in map(str.split, body):
         if len(tokens) == 4:
             directive, first, second, third = tokens
             if directive == "incidence":
-                incidences.append((first, second, third))
+                uppers.append(first)
+                lowers.append(second)
+                coefficients.append(third)
             elif directive == "orbit" and second == "index":
-                orbits.append((first, third))
-            else:
+                ids.append(first)
+                indices.append(third)
+            elif directive[0] != "#":
                 return None
+        elif not tokens or tokens[0][0] == "#":
+            continue
         elif tokens[0] == "dim" and len(tokens) == 2 and dim is None:
             dim = tokens[1]
         else:
             return None
-    if dim is None or not orbits:
+    if dim is None or not ids:
         return None
-    ids, indices = zip(*orbits)
-    uppers, lowers, coefficients = zip(*incidences) if incidences else ((),) * 3
     if not (
         _ORBIT_ID_PATTERN.fullmatch("".join((*ids, *uppers, *lowers)))
         and _INTEGER_CHARS.fullmatch("".join((dim, *indices, *coefficients)))
@@ -385,30 +388,30 @@ def parse_flow_complex(text: str) -> FlowComplex:
     problems such as dangling incidences are not parse errors; they are left
     for :meth:`FlowComplex.validate`.
     """
-    lines = _significant_lines(text)
-    first = next(lines, None)
-    if first is None:
+    lines = _lines(text)
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+        if tokens and tokens[0][0] != "#":
+            break
+    else:
         raise ParseError(1, "missing 'format nmsflow 1' header")
-    lineno, line = first
-    tokens = line.split()
     if tokens[0] != "format":
         raise ParseError(lineno, "expected 'format nmsflow 1' header")
     if len(tokens) != 3 or tokens[1] != "nmsflow":
-        raise ParseError(lineno, f"malformed format header {line!r}")
+        raise ParseError(lineno, f"malformed format header {lines[lineno - 1].strip()!r}")
     if tokens[2] != "1":
         raise ParseError(lineno, f"unsupported nmsflow version {tokens[2]!r}")
-    flow = _read_well_formed(lines)
+    flow = _read_well_formed(lines[lineno:])
     if flow is not None:
         return flow
     # Some line is not well formed: read the body again, token by token as the format says.
-    lines = _significant_lines(text)
-    next(lines)
     dimension: int | None = None
     orbits: list[tuple[str, int]] = []
     incidences: list[tuple[str, str, int]] = []
-    for lineno, line in lines:
-        tokens = line.split()
-        directive = tokens[0]
+    last = lineno  # the last significant line
+    for lineno, tokens in enumerate(map(str.split, lines[last:]), start=last + 1):
+        if not tokens or tokens[0][0] == "#":
+            continue
+        last, directive, line = lineno, tokens[0], lines[lineno - 1].strip()
         if directive == "format":
             raise ParseError(lineno, "duplicate format header")
         if directive == "dim":
@@ -434,5 +437,5 @@ def parse_flow_complex(text: str) -> FlowComplex:
         else:
             raise ParseError(lineno, f"unknown directive {directive!r}")
     if dimension is None:
-        raise ParseError(lineno + 1, "missing dim directive")
+        raise ParseError(last + 1, "missing dim directive")
     return FlowComplex._from_parsed(dimension, orbits, incidences)

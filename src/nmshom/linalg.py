@@ -31,7 +31,7 @@ import re
 from collections import Counter
 from typing import NamedTuple
 
-from .validation import _INTEGER_CHARS, ParseError, _format_int, _parse_int, _significant_lines
+from .validation import _INTEGER_CHARS, ParseError, _format_int, _lines, _parse_int
 
 __all__ = [
     "IntegerMatrix",
@@ -541,31 +541,31 @@ def parse_matrix(text: str) -> IntegerMatrix:
 
     The first significant line is a header ``rows R cols C``; each following
     significant line carries the C entries of one row, whitespace separated.
-    Blank lines and lines starting with ``#`` are ignored.  A row's tokens
-    are checked by one character class over their concatenation and
-    converted by ``int``; only a row that either rejects, for a stray
-    character, a lone or misplaced sign or an entry past the interpreter's
-    digit limit, is read token by token to name its first bad entry.
+    The lines are ``validation._lines``; blank lines and ``#`` comments are
+    told by their first non-blank character, which starts ``str.split()``'s
+    first token, and each row is split once, when read.  A row's tokens are
+    checked by one character class over their concatenation and converted by
+    ``int``; only a row that either rejects, for a stray character, a lone or
+    misplaced sign or an entry past the interpreter's digit limit, is read
+    token by token to name its first bad entry.
     """
-    lines = list(_significant_lines(text))
-    if not lines:
+    lines = _lines(text)
+    significant = [n for n, line in enumerate(lines, 1) if line.lstrip()[:1] not in ("", "#")]
+    if not significant:
         raise ParseError(1, "missing 'rows R cols C' header")
-    header_line, header = lines[0]
+    header_line, *body = significant
+    header = lines[header_line - 1].strip()
     match = _HEADER_RE.fullmatch(header)
     if match is None:
         raise ParseError(header_line, f"expected 'rows R cols C' header, got {header!r}")
     nrows = _parse_int(match.group(1), header_line, "row count")
     ncols = _parse_int(match.group(2), header_line, "column count")
-    body = lines[1:]
-    expected_lines = nrows if ncols else 0  # width-0 rows carry no tokens, so no lines
-    if len(body) < expected_lines:
-        raise ParseError(
-            lines[-1][0],
-            f"expected {expected_lines} matrix rows, found {len(body)}",
-        )
-    if len(body) > expected_lines:
-        raise ParseError(body[expected_lines][0], "unexpected content after the last matrix row")
-    entries = (_row_entries(line, lineno, ncols) for lineno, line in body)
+    expected = nrows if ncols else 0  # width-0 rows carry no tokens, so no lines
+    if len(body) < expected:
+        raise ParseError(significant[-1], f"expected {expected} matrix rows, found {len(body)}")
+    if len(body) > expected:
+        raise ParseError(body[expected], "unexpected content after the last matrix row")
+    entries = (_row_entries(lines[lineno - 1], lineno, ncols) for lineno in body)
     return IntegerMatrix._of(nrows, ncols, _nonzero_rows(entries))
 
 

@@ -4,7 +4,8 @@ Validation never throws on its own: structurally questionable objects can be
 built and inspected, and ``validate`` methods return a ValidationReport
 listing every problem found.  Operations that *require* a valid object
 (homology, conversion to a chain complex) raise ValidationError carrying the
-report.  Text parsers raise ParseError with a 1-based line number.
+report.  The flow and matrix parsers read the raw lines of ``_lines`` and
+raise ParseError with a 1-based line number.
 """
 
 from __future__ import annotations
@@ -84,17 +85,16 @@ def _parse_int(token: str, line: int, what: str, shown: str | None = None) -> in
         raise ParseError(line, f"too long {what}: over {limit} digits") from None
 
 
-def _significant_lines(text: str):
-    """Yield (line_number, stripped_line) of flow or matrix text, skipping blanks and # comments.
+def _lines(text: str) -> list[str]:
+    """The lines of flow or matrix text, unstripped, for both parsers to read once.
 
     Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``: the further breaks of ``str.splitlines``
-    (``\\x0c``, ``\\x85``, U+2028, ...) would turn the rest of a comment into input.
+    (``\\x0c``, ``\\x85``, U+2028, ...) would turn the rest of a comment into input.  A line
+    is significant when ``str.split()`` gives it a first token not starting with ``#``: the
+    stripped line is neither blank nor a comment, as ``strip`` and ``split`` share one
+    definition of whitespace.  Errors quote a line as ``lines[lineno - 1].strip()``.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 _CHUNK = 10**600  # 600 digits: below 640, the least digit limit the interpreter accepts

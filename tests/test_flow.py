@@ -43,6 +43,41 @@ class TestParsing:
         assert fc.dimension == 2
         assert fc.incidences == (Incidence("b", "a", -2),)
 
+    def test_well_formed_documents_take_the_fast_path(self, monkeypatch):
+        # a block union laid out as the benchmark's (all orbit lines, then all
+        # incidence lines), with comments and blank lines, and an emitted Seifert
+        # flow: a fallback to the token path would call these
+        calls = collections.Counter()
+
+        def counting(name, original):
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in ("_parse_int", "_checked_id"):
+            monkeypatch.setattr(flow, name, counting(name, getattr(flow, name)))
+        rng = random.Random(41)
+        blocks = [random_conjugated_flow(rng, 4, f"b{b:02d}_")[0] for b in range(12)]
+        union = FlowComplex(
+            4,
+            [orbit for block in blocks for orbit in block.orbits],
+            [inc for block in blocks for inc in block.incidences],
+        )
+        lines = ["# a block union", "format nmsflow 1", "", "dim 4"]
+        lines += [f"orbit {o.id} index {o.index}" for o in union.orbits]
+        lines += ["# incidences", "  "]
+        lines += [f"incidence {i.upper} {i.lower} {i.coefficient}" for i in union.incidences]
+        assert parse_flow_complex("\n".join(lines) + "\n") == union
+        invariants = "1;1/2,-1/3,2/5,3/7"
+        emitted = cli.cmd_seifert_emit(invariants).human_text
+        assert parse_flow_complex(emitted) == parse_invariant(invariants).to_flow_complex()
+        assert calls == {}
+        with pytest.raises(ParseError):  # the wrappers count: the token path calls them
+            parse_flow_complex("format nmsflow 1\ndim 2\norbit a-b index 0\n")
+        assert calls == {"_parse_int": 1, "_checked_id": 1}
+
     def test_missing_format_header(self):
         with pytest.raises(ParseError) as err:
             parse_flow_complex("dim 3\n")

@@ -7,9 +7,10 @@ check rejects it.  On ``test_fuzz.py``'s mutated
 documents, with separators swapped for other Unicode whitespace, near-miss
 characters and integers past the digit limit spliced in and line ends
 rewritten, each parser must give what ``tokenparse``'s reader gives: equal
-records, or a ParseError with the same line and reason.  The last test holds
+records, or a ParseError with the same line and reason.  A test holds
 both parsers to the reference on lines whose tokens are separated by each
-character ``str.split()`` separates at, and by near misses.
+character ``str.split()`` separates at, and by near misses, and the last
+on the CLI digest's documents at the edges of the line reader.
 """
 
 import random
@@ -21,6 +22,7 @@ import pytest
 from nmshom import Incidence, Orbit, ParseError, parse_flow_complex, parse_matrix
 
 import tokenparse
+from test_cli_digest import cli_digest
 from test_fuzz import FLOWS, MATRICES, _mutate
 
 CASES = 600
@@ -148,3 +150,49 @@ def test_line_patterns_separate_tokens_exactly_where_str_split_does():
             assert outcome == _outcome(reference, text), hex(ord(char))
             if char in spaces and char not in "\n\r":  # a line ends only at \n or \r
                 assert outcome[0] == "parsed", hex(ord(char))
+
+
+# what each of the digest's line-reader edge documents reads as: (dimension or
+# rows, orbits or the entries, incidences), or (line, reason) of its ParseError
+EDGE_OUTCOMES = {
+    "flow-comment-four-tokens": ("parsed", (2, 2, 1)),
+    "flow-comments-like-records": ("parsed", (2, 2, 1)),
+    "flow-ideographic-space-line": ("parsed", (2, 2, 1)),
+    "flow-vertical-tab-line": ("parsed", (2, 2, 1)),
+    "flow-separators-in-records": ("parsed", (2, 2, 1)),
+    "flow-header-after-comments-cr": ("parsed", (2, 2, 1)),
+    "flow-header-after-comments-crlf": ("parsed", (2, 2, 1)),
+    "flow-dim-after-records": ("parsed", (2, 2, 1)),
+    "flow-two-dims-apart": ("error", (6, "duplicate dim directive")),
+    "flow-no-orbit": ("parsed", (3, 0, 0)),
+    "flow-no-orbit-incidence": ("parsed", (2, 0, 1)),
+    "matrix-comments-and-blanks": ("parsed", (2, [[2, 4], [-6, 3]])),
+    "matrix-header-after-comments-cr": ("parsed", (1, [[4, 6]])),
+    "matrix-header-after-comments-crlf": ("parsed", (1, [[4, 6]])),
+}
+
+
+def _summary(outcome):
+    kind, value = outcome
+    if kind == "error":
+        return outcome
+    if hasattr(value, "dimension"):
+        return kind, (value.dimension, len(value.orbits), len(value.incidences))
+    return kind, (value.rows, value.to_rows())
+
+
+EDGES = cli_digest.READER_EDGES
+
+
+@pytest.mark.parametrize("case_id, kind, text", EDGES, ids=[edge[0] for edge in EDGES])
+def test_line_reader_edges_read_as_the_reference_reads_them(case_id, kind, text):
+    # comments of four tokens or shaped like records, lines of only U+3000 or
+    # \x0b, \x1c, \x85 and U+2028 inside a record, a header after comments and
+    # blank lines under \r and \r\n, dim after the records or twice, no orbit
+    parser, reference = {
+        "flow": (parse_flow_complex, tokenparse.parse_flow),
+        "matrix": (parse_matrix, tokenparse.parse_matrix),
+    }[kind]
+    outcome = _outcome(parser, text)
+    assert outcome == _outcome(reference, text)
+    assert _summary(outcome) == EDGE_OUTCOMES[case_id]

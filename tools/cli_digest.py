@@ -25,10 +25,14 @@ at the top and for every subcommand, a missing command, subcommand or
 path, ``homology`` with neither input and with both, and unknown options.
 Then :data:`MALFORMED` documents, which reach every flow and matrix
 ParseError, run through ``validate`` and ``homology`` or ``snf`` and
-``snf --witness``.  Last, fibrations whose alphas make the divisor chain
-work (distinct primes near 10^6, products of them, and high powers of 2, 3
-and 7 up to 2^60) run through ``homology --seifert`` and ``seifert emit``,
-and the emitted flow through ``homology``.
+``snf --witness``, and so do :data:`READER_EDGES`, documents at the edges
+of the line reader (comments shaped like records, lines of other
+whitespace only, a header after comments under ``\\r`` and ``\\r\\n`` line
+ends, ``dim`` after the records or twice, no orbit).  Last, fibrations
+whose alphas make the divisor chain work (distinct primes near 10^6,
+products of them, and high powers of 2, 3 and 7 up to 2^60) run through
+``homology --seifert`` and ``seifert emit``, and the emitted flow through
+``homology``.
 ``COLUMNS`` is fixed, so help text wraps the same in every terminal; it
 still differs between Python versions, so compare digests made by one
 interpreter.
@@ -36,10 +40,12 @@ Every call goes in-process through ``nmshom.cli.main`` and prints one line::
 
     workload seed id mode exit sha256(stdout) sha256(stderr)
 
-The input files are written under ``.cli-digest/`` in the checkout, a fixed
-directory, so a path that reaches the output is the same on every run.  Run
+The input files are written under ``.cli-digest/`` in the checkout.  Run
 the script once per source tree and ``diff`` the two outputs: no difference
 means the same exit codes and the same bytes on both streams.
+``tests/test_cli_digest.py`` builds the digest in-process through
+:func:`digest` and compares it with the lines pinned under ``tests/digest``:
+the ``parser`` lines per Python minor version, all others once.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".cli-digest"
 SEEDS = (101, 7)
+COLUMNS = "100"  # help text wraps at this width
 SMALL_MATRICES = 300
 SPARSE_MATRICES = 200
 # alpha 0, a non-coprime pair, negative genus, no pairs
@@ -125,6 +132,49 @@ MALFORMED = (
     ("matrix-trailing-sign", "matrix", "rows 1 cols 2\n4 3+\n"),
     ("matrix-other-separators", "matrix", "rows 2 cols 2\r\n1\x1c2\r\n3\u3000-4\r\n"),
     ("matrix-cr-line-ends", "matrix", "rows 1 cols 2\r3\u20286\r"),
+)
+_RECORDS = "orbit a index 0\norbit b index 1\nincidence b a 2\n"
+# (id, kind, text): documents at the edges of the line reader, each a comment, a blank
+# line or a line end away from a well-formed one, read as the format says
+READER_EDGES = (
+    ("flow-comment-four-tokens", "flow", "format nmsflow 1\n# a b c\ndim 2\n" + _RECORDS),
+    (
+        "flow-comments-like-records",
+        "flow",
+        "format nmsflow 1\n#orbit c index 0\ndim 2\n" + _RECORDS + "# incidence b a 1\n",
+    ),
+    ("flow-ideographic-space-line", "flow", "format nmsflow 1\n\u3000\ndim 2\n\u3000\n" + _RECORDS),
+    ("flow-vertical-tab-line", "flow", "format nmsflow 1\n\x0b\ndim 2\n" + _RECORDS + "\x0b\n"),
+    (
+        "flow-separators-in-records",
+        "flow",
+        "format nmsflow 1\ndim 2\norbit\x1ca index 0\norbit b\x85index 1\nincidence b a\u20282\n",
+    ),
+    (
+        "flow-header-after-comments-cr",
+        "flow",
+        ("# a flow\n\n  \n# next the header\nformat nmsflow 1\ndim 2\n" + _RECORDS).replace(
+            "\n", "\r"
+        ),
+    ),
+    (
+        "flow-header-after-comments-crlf",
+        "flow",
+        ("# a flow\n\n  \n# next the header\nformat nmsflow 1\ndim 2\n" + _RECORDS).replace(
+            "\n", "\r\n"
+        ),
+    ),
+    ("flow-dim-after-records", "flow", "format nmsflow 1\n" + _RECORDS + "dim 2\n"),
+    ("flow-two-dims-apart", "flow", "format nmsflow 1\ndim 2\n" + _RECORDS + "dim 2\n"),
+    ("flow-no-orbit", "flow", "format nmsflow 1\n# nothing\ndim 3\n\n"),
+    ("flow-no-orbit-incidence", "flow", "format nmsflow 1\ndim 2\nincidence b a 2\n"),
+    (
+        "matrix-comments-and-blanks",
+        "matrix",
+        "# rows 9 cols 9\n\x0b\nrows 2 cols 2\n#1 2\n\u3000\n2 4\n# 1 2\n-6 3\n\n",
+    ),
+    ("matrix-header-after-comments-cr", "matrix", "# m\r\rrows 1 cols 2\r# 0 0\r4 6\r"),
+    ("matrix-header-after-comments-crlf", "matrix", "# m\r\n\r\nrows 1 cols 2\r\n4 6\r\n"),
 )
 # (id, argv without --porcelain) for the parser's help and usage errors; no file is read
 PARSER_CALLS = (
@@ -294,10 +344,11 @@ def _inputs(main):
     for case_id, argv in PARSER_CALLS:
         yield "parser", 0, case_id, ["--porcelain", *argv], None
     commands = {"flow": (["validate"], ["homology"]), "matrix": (["snf"], ["snf", "--witness"])}
-    for case_id, kind, text in MALFORMED:
-        for command in commands[kind]:
-            argv = ["--porcelain", *command, "{path}"]
-            yield "malformed", 0, f"{case_id}-{'-'.join(command)}", argv, text
+    for workload, documents in (("malformed", MALFORMED), ("reader-edges", READER_EDGES)):
+        for case_id, kind, text in documents:
+            for command in commands[kind]:
+                argv = ["--porcelain", *command, "{path}"]
+                yield workload, 0, f"{case_id}-{'-'.join(command)}", argv, text
     for case_id, invariants in _chain_heavy_invariants():
         closed = ["--porcelain", "homology", "--seifert", invariants]
         yield "chain-heavy", 0, f"{case_id}-seifert", closed, None
@@ -305,6 +356,26 @@ def _inputs(main):
         yield "chain-heavy", 0, f"{case_id}-emit", emit, None
         text = _call(main, emit)[1]
         yield "chain-heavy", 0, f"{case_id}-flow", ["--porcelain", "homology", "{path}"], text
+
+
+def digest(main, work: Path):
+    """Yield the digest's lines for the CLI entry point ``main``, with input files under ``work``.
+
+    ``work`` is emptied first and removed at the end.  Help text wraps at
+    ``COLUMNS``, which the caller fixes.
+    """
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    for workload, seed, case_id, porcelain_argv, text in _inputs(main):
+        if text is not None:
+            path = work / f"{workload}-{seed}-{case_id}.txt"
+            path.write_text(text, encoding="utf-8")
+            porcelain_argv = [str(path) if a == "{path}" else a for a in porcelain_argv]
+        human_argv = [a for a in porcelain_argv if a != "--porcelain"]
+        for mode, call_argv in (("porcelain", porcelain_argv), ("human", human_argv)):
+            code, out, err = _call(main, call_argv)
+            yield f"{workload} {seed} {case_id} {mode} {code} {_sha(out)} {_sha(err)}"
+    shutil.rmtree(work)
 
 
 def main(argv: list[str]) -> int:
@@ -321,19 +392,9 @@ def main(argv: list[str]) -> int:
     if Path(cli.__file__).resolve().parent.parent != src:
         print(f"error: nmshom was imported from {cli.__file__}, not from {src}", file=sys.stderr)
         return 2
-    os.environ["COLUMNS"] = "100"
-    shutil.rmtree(WORK, ignore_errors=True)
-    WORK.mkdir()
-    for workload, seed, case_id, porcelain_argv, text in _inputs(cli.main):
-        if text is not None:
-            path = WORK / f"{workload}-{seed}-{case_id}.txt"
-            path.write_text(text, encoding="utf-8")
-            porcelain_argv = [str(path) if a == "{path}" else a for a in porcelain_argv]
-        human_argv = [a for a in porcelain_argv if a != "--porcelain"]
-        for mode, call_argv in (("porcelain", porcelain_argv), ("human", human_argv)):
-            code, out, err = _call(cli.main, call_argv)
-            print(workload, seed, case_id, mode, code, _sha(out), _sha(err))
-    shutil.rmtree(WORK)
+    os.environ["COLUMNS"] = COLUMNS
+    for line in digest(cli.main, WORK):
+        print(line)
     return 0
 
 
