@@ -134,6 +134,7 @@ MALFORMED = (
     ("matrix-cr-line-ends", "matrix", "rows 1 cols 2\r3\u20286\r"),
 )
 _RECORDS = "orbit a index 0\norbit b index 1\nincidence b a 2\n"
+_AFTER_COMMENTS = "# a flow\n\n  \n# next the header\nformat nmsflow 1\ndim 2\n" + _RECORDS
 # (id, kind, text): documents at the edges of the line reader, each a comment, a blank
 # line or a line end away from a well-formed one, read as the format says
 READER_EDGES = (
@@ -150,20 +151,8 @@ READER_EDGES = (
         "flow",
         "format nmsflow 1\ndim 2\norbit\x1ca index 0\norbit b\x85index 1\nincidence b a\u20282\n",
     ),
-    (
-        "flow-header-after-comments-cr",
-        "flow",
-        ("# a flow\n\n  \n# next the header\nformat nmsflow 1\ndim 2\n" + _RECORDS).replace(
-            "\n", "\r"
-        ),
-    ),
-    (
-        "flow-header-after-comments-crlf",
-        "flow",
-        ("# a flow\n\n  \n# next the header\nformat nmsflow 1\ndim 2\n" + _RECORDS).replace(
-            "\n", "\r\n"
-        ),
-    ),
+    ("flow-header-after-comments-cr", "flow", _AFTER_COMMENTS.replace("\n", "\r")),
+    ("flow-header-after-comments-crlf", "flow", _AFTER_COMMENTS.replace("\n", "\r\n")),
     ("flow-dim-after-records", "flow", "format nmsflow 1\n" + _RECORDS + "dim 2\n"),
     ("flow-two-dims-apart", "flow", "format nmsflow 1\ndim 2\n" + _RECORDS + "dim 2\n"),
     ("flow-no-orbit", "flow", "format nmsflow 1\n# nothing\ndim 3\n\n"),
