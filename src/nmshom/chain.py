@@ -1,16 +1,16 @@
 """Finite chain complexes of free abelian groups and their homology.
 
-A complex stores one rank per degree 0..top_degree and one boundary map per
-degree 1..top_degree; the boundary below degree 0 and above the top are zero
-maps.  Each boundary is kept as the nonzero rows of an
-:class:`~nmshom.linalg.IntegerMatrix`, so a flow's boundaries cost as much
-as its incidences, not as the dense grid.  The d.d = 0 check multiplies row
-by row over those nonzeros, so its cost is proportional to the number of
-nonzero products a_ik * b_kj rather than to the product's shape.
-:meth:`ChainComplex.boundary` wraps the rows as a matrix without a copy, and
-:meth:`ChainComplex.homology` hands each d_k to the sparse Smith core.  The
-free rank is ranks[k] - rank(d_k) - rank(d_{k+1}) and the torsion is the
-list of elementary divisors of d_{k+1} that exceed 1.
+A complex stores one rank per degree 0..top_degree and one dict from k to the
+nonzero rows of d_k, in the row format of
+:class:`~nmshom.linalg.IntegerMatrix`; a zero map, like those below degree 0
+and above the top, is an absent key.  So a flow's boundaries cost as much as
+its incidences, not as the dense grid or the number of degrees.  The d.d = 0
+check multiplies row by row over those nonzeros, so its cost is proportional
+to the number of nonzero products a_ik * b_kj rather than to the product's
+shape.  :meth:`ChainComplex.boundary` wraps the rows as a matrix without a
+copy, and :meth:`ChainComplex.homology` hands each stored d_k to the sparse
+Smith core.  The free rank is ranks[k] - rank(d_k) - rank(d_{k+1}) and the
+torsion is the list of elementary divisors of d_{k+1} that exceed 1.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ class ChainComplex:
 
     ``boundaries[k - 1]`` is the matrix of d_k, of shape ranks[k-1] x
     ranks[k]; column j gives the boundary of generator j in degree k.  The
-    complex keeps each matrix's nonzero rows, so a sparse boundary costs
-    memory in proportion to its nonzeros, and :meth:`boundary` wraps them
-    as a matrix again in constant time.
+    complex keeps the nonzero rows of each nonzero matrix and nothing for a
+    zero one, so a boundary costs memory in proportion to its nonzeros, and
+    :meth:`boundary` wraps them as a matrix again in constant time.
     Construction checks shapes and label uniqueness only; whether the
     boundary condition d.d = 0 holds is reported separately by
     :meth:`check_boundary_condition` so that defective complexes can still
@@ -126,7 +126,7 @@ class ChainComplex:
                 if len(set(degree_labels)) != len(degree_labels):
                     raise ValueError(f"duplicate generator labels in degree {k}")
         self._ranks = ranks
-        self._rows = tuple(matrix._nonzero for matrix in boundaries)
+        self._rows = {k: m._nonzero for k, m in enumerate(boundaries, start=1) if m._nonzero}
         self._labels = labels
         self._square_report: ValidationReport | None = None
 
@@ -134,18 +134,19 @@ class ChainComplex:
     def _from_rows(cls, ranks, rows, generator_labels) -> "ChainComplex":
         """Build from sparse rows that the caller has already checked.
 
-        ``rows[k - 1]`` holds the nonzero rows of d_k in the storage of
-        :class:`~nmshom.linalg.IntegerMatrix`: a dict from row index, in
-        ascending order, to the row's dict from column (inside
-        0..ranks[k] - 1) to nonzero entry.  The complex takes the dicts
-        over, so the caller must not change them afterwards.  Shapes and
-        label uniqueness are not checked again; flow assembly, which
-        validates both, is the one caller.
+        ``rows`` maps k, ascending, to the nonzero rows of a nonzero d_k in
+        the storage of :class:`~nmshom.linalg.IntegerMatrix`: a dict from
+        row index, in ascending order, to the row's dict from column (inside
+        0..ranks[k] - 1) to nonzero entry; a zero map is an absent key.  The
+        complex takes ``rows``, the ``ranks`` tuple and the tuple of label
+        tuples over without a copy, so the caller must not change them
+        afterwards.  Shapes and label uniqueness are not checked again; flow
+        assembly, which validates both, is the one caller.
         """
         complex_ = cls.__new__(cls)
-        complex_._ranks = tuple(ranks)
-        complex_._rows = tuple(rows)
-        complex_._labels = tuple(map(tuple, generator_labels))
+        complex_._ranks = ranks
+        complex_._rows = rows
+        complex_._labels = generator_labels
         complex_._square_report = None
         return complex_
 
@@ -169,25 +170,24 @@ class ChainComplex:
             )
         rows = self._ranks[k - 1] if k else 0
         cols = self._ranks[k] if k <= self.top_degree else 0
-        return IntegerMatrix._of(rows, cols, self._rows[k - 1] if rows and cols else {})
+        return IntegerMatrix._of(rows, cols, self._rows.get(k, {}))
 
     def check_boundary_condition(self) -> ValidationReport:
         """Report every nonzero entry of d_k . d_(k+1), with generator labels.
 
         Row i of the product is the sum of a * (row m of d_(k+1)) over the
         nonzeros a = (d_k)_im of row i, so the work is the number of nonzero
-        products, and a degree whose d_(k+1) has no nonzero costs nothing;
-        violations come in row-major order (target row, then source column)
-        for each k in turn.
+        products, and a k with d_k or d_(k+1) zero costs nothing; violations
+        come in row-major order (target row, then source column) for each k.
         """
         if self._square_report is not None:
             return self._square_report
         violations = []
-        for k in range(1, self.top_degree):
-            upper = self._rows[k]
-            if not upper:  # d_(k+1) = 0, so d_k . d_(k+1) = 0 too
+        for k, lower in self._rows.items():
+            upper = self._rows.get(k + 1)
+            if upper is None:  # d_k or d_(k+1) is zero, so d_k . d_(k+1) = 0 too
                 continue
-            for i, row in self._rows[k - 1].items():
+            for i, row in lower.items():
                 sums: dict[int, int] = {}
                 for m, a in row.items():
                     for j, b in upper[m].items() if m in upper else ():
@@ -227,16 +227,13 @@ class ChainComplex:
             report = self.check_boundary_condition()
         if not report.ok:
             raise ValidationError(report, "boundary condition d.d = 0 fails")
-        # divisors[k] belongs to d_k; d_0 and d_(top+1) are zero maps
-        divisors = [[]]
-        for k in range(1, len(self._ranks)):
-            divisors.append(elementary_divisors(self.boundary(k)))
-        divisors.append([])
+        # divisors[k] belongs to d_k; a zero map has none
+        divisors = {k: elementary_divisors(self.boundary(k)) for k in self._rows}
         return [
             HomologyGroup(
                 degree=k,
-                betti=rank - len(divisors[k]) - len(divisors[k + 1]),
-                torsion=tuple(d for d in divisors[k + 1] if d > 1),
+                betti=rank - len(divisors.get(k, ())) - len(divisors.get(k + 1, ())),
+                torsion=tuple(d for d in divisors.get(k + 1, ()) if d > 1),
             )
             for k, rank in enumerate(self._ranks)
         ]

@@ -301,21 +301,18 @@ class FlowComplex:
             position[orbit_id] = (index, len(ids))
             ids.append(orbit_id)
 
-        # Only occupied degrees get their own labels and rows; the empty ones share
-        # () and {}, so a large dimension costs a slot per degree in each of them.
-        labels: list = [()] * self._dimension
-        for k, ids in by_degree.items():
-            labels[k] = ids
-        # Row i of d_k maps j to the nonzero coefficient of the i-th
-        # index-(k-1) orbit in the boundary of the j-th index-k orbit.
-        built = {k: [{} for _ in ids] for k, ids in by_degree.items() if k < self._dimension - 1}
+        # An empty degree costs one rank and one () label slot; only nonzero
+        # maps get rows.  Row i of d_k maps j to the nonzero coefficient of the
+        # i-th index-(k-1) orbit in the boundary of the j-th index-k orbit.
+        labels = tuple(tuple(by_degree.get(k, ())) for k in range(self._dimension))
+        built: dict[int, list] = {}
         for upper, lower, coefficient in self._incidences:
             if coefficient:
                 k, j = position[upper]
-                built[k - 1][position[lower][1]][j] = coefficient
-        rows: list = [{}] * (self._dimension - 1)
-        for k, degree_rows in built.items():
-            rows[k] = {i: row for i, row in enumerate(degree_rows) if row}
+                if k not in built:
+                    built[k] = [{} for _ in by_degree[k - 1]]
+                built[k][position[lower][1]][j] = coefficient
+        rows = {k: {i: row for i, row in enumerate(built[k]) if row} for k in sorted(built)}
 
         complex_ = ChainComplex._from_rows(tuple(map(len, labels)), rows, labels)
         square_report = complex_.check_boundary_condition()

@@ -461,8 +461,9 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     :func:`smith_normal_form` on a copy of the nonzero rows of ``m``, with
     no witness rows (a matrix with no nonzero row never reaches the core),
     then puts the isolated nonzeros into a divisibility chain as scalars.
-    The Smith diagonal is unique, so the result equals
-    ``smith_normal_form(m).divisors``.
+    The rows go in stably sorted by leading column: in reversed or shuffled
+    order they cost the core far more row operations.  The Smith diagonal is
+    unique, so the result equals ``smith_normal_form(m).divisors``.
 
     >>> elementary_divisors(IntegerMatrix.from_rows([[2], [-4]]))
     [2]
@@ -473,7 +474,7 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     """
     if not m._nonzero:
         return []
-    a = _isolate_nonzeros([dict(row) for row in m._nonzero.values()], None, None, m.cols)
+    a = _isolate_nonzeros(sorted(map(dict, m._nonzero.values()), key=min), None, None, m.cols)
     return _divisor_chain(e for row in a for e in row.values())
 
 

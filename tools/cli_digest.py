@@ -13,10 +13,13 @@ porcelain and in human mode, plus 300 seeded small matrices run through
 bidiagonal, block-diagonal, density 0.05-0.2, zero rows and columns, a
 Bezout step with x = 0) through ``snf`` and ``snf --witness``, and
 ``homology`` on a Seifert flow with 2000 fibers, on a block union of about
-4000 orbits (``gen.validate_case`` with no defect) and on eight
-``gen.conjugated_case`` flows.  Flows of dimension 3000 with orbits in
-only a few indices, some with a d.d defect, run through ``validate`` and
-``homology``, so nearly every degree is empty.  The Seifert commands
+4000 orbits (``gen.validate_case`` with no defect), on eight
+``gen.conjugated_case`` flows and on Seifert flows with 1000 fibers whose
+index-0 ids are renamed in reverse or shuffled order, or whose index-1 ids
+are shuffled.  Flows of dimension 3000 with orbits in only a few indices,
+some with a d.d defect and one with a zero map between two nonzero ones,
+run through ``validate`` and ``homology``, so nearly every degree is
+empty.  The Seifert commands
 (``homology --seifert``, ``seifert normalize``, ``seifert emit`` and
 ``seifert equiv``) run over the invariants of the seifert-torsion pools, an
 equivalent and an inequivalent partner of each, and a few invalid lists;
@@ -69,7 +72,8 @@ SPARSE_MATRICES = 200
 # alpha 0, a non-coprime pair, negative genus, no pairs
 INVALID_INVARIANTS = ("0;1/0,1/2", "0;2/4,1/3", "-1;1/2,1/3", "0;")
 # (id, orbit indices, (upper, lower, coefficient) incidences) in dimension 3000;
-# orbit k is named ok, and the two "defect" flows break d.d = 0
+# orbit k is named ok, and the two "defect" flows break d.d = 0.  In "gap",
+# d_1502 = 0 lies between d_1501 and d_1503, whose 1 x 1 product is 6.
 EMPTY_DEGREE_FLOWS = (
     ("two-orbits", (0, 2999), ()),
     ("spread", (0, 1, 1500, 2999), ((1, 0, 2),)),
@@ -79,6 +83,7 @@ EMPTY_DEGREE_FLOWS = (
         ((1, 0, 2), (1500, 1499, 3), (1501, 1500, 1)),
     ),
     ("top-defect", (0, 2997, 2998, 2999), ((2998, 2997, 2), (2999, 2998, 5))),
+    ("gap", (0, 1500, 1501, 1502, 1503, 2999), ((1501, 1500, 2), (1503, 1502, 3))),
 )
 _FLOW = "format nmsflow 1\ndim 3\n"
 _LONG = "7" * 4301  # past the interpreter's default digit limit
@@ -253,6 +258,14 @@ def _seifert_calls(label: str, invariants: str, equivalent: str, inequivalent: s
         yield f"{label}-equiv-{name}", ["--porcelain", "seifert", "equiv", "--", invariants, text]
 
 
+def _renamed(text: str, prefix: str, order) -> str:
+    """``text`` with its i-th sorted id starting with ``prefix`` renamed to the order[i]-th."""
+    ids = sorted({token for token in text.split() if token.startswith(prefix)})
+    new = {ids[i]: ids[j] for i, j in enumerate(order)}
+    lines = (" ".join(new.get(token, token) for token in line.split()) for line in text.splitlines())
+    return "".join(line + "\n" for line in lines)
+
+
 def _chain_heavy_invariants():
     """Yield (id, invariants) whose alphas have known, chain-heavy factorizations."""
     primes = [n for n in range(10**6 - 2000, 10**6) if all(n % p for p in range(2, 1001))]
@@ -322,6 +335,17 @@ def _inputs(main):
     for i, per_index in enumerate((3, 6, 10, 15, 20, 25, 30, 40)):
         case = gen.conjugated_case(large, i, per_index)
         yield "homology-large", 0, f"conjugated-{i}", argv, case.text
+    # the Smith core's row order follows the index-0 ids, its column order the index-1 ids
+    permuted = random.Random("cli-digest-permuted")
+    seifert = gen.seifert_case(permuted, 0, 1000).text
+    yield "homology-large", 0, "seifert-1000-reversed-0", argv, _renamed(
+        seifert, "p0_", range(999, -1, -1)
+    )
+    shuffled = permuted.sample(range(1000), 1000)
+    yield "homology-large", 0, "seifert-1000-shuffled-0", argv, _renamed(seifert, "p0_", shuffled)
+    saddles = seifert.count(" index 1\n")
+    shuffled = permuted.sample(range(saddles), saddles)
+    yield "homology-large", 0, "seifert-1000-shuffled-1", argv, _renamed(seifert, "p1_", shuffled)
     for case_id, indices, incidences in EMPTY_DEGREE_FLOWS:
         lines = ["format nmsflow 1", "dim 3000"]
         lines += [f"orbit o{k} index {k}" for k in indices]
